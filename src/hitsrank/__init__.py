@@ -27,8 +27,6 @@ from hitsrank.hits import (
     authority_gram,
     hits,
     hub_gram,
-    normalize_l2,
-    power_iteration,
 )
 from hitsrank.io import (
     ParseError,
@@ -86,13 +84,11 @@ __all__ = [
     "from_named_matrix",
     "hits",
     "hub_gram",
-    "normalize_l2",
     "parse_matches",
     "parse_matrix",
     "parse_table",
     "table_object",
     "points_table",
-    "power_iteration",
     "rank_authority",
     "rank_hub",
     "sort_teams",

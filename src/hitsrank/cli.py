@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from hitsrank.graph import AdjacencyMatrix, build_adjacency, sort_teams
 from hitsrank.hits import DegenerateInputError, HitsResult, SolverConfig, hits
@@ -49,44 +50,27 @@ class CliError(Exception):
     exit_code: int = EXIT_USAGE
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0.0 or value != value or value in (float("inf"),):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+def _number(kind: type, minimum: int, strict: bool) -> Callable[[str], float]:
+    """argparse type for an int or float above ``minimum`` (strict) or at least it.
 
+    Floats must also be finite.
+    """
+    noun = "a number" if kind is float else "an integer"
+    bound = ("positive" if strict else "nonnegative") if minimum == 0 else f"at least {minimum}"
+    requirement = f"a {bound} finite number" if kind is float else bound
 
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value >= 0.0 or value in (float("inf"),):
-        raise argparse.ArgumentTypeError(f"must be a nonnegative finite number, got {text!r}")
-    return value
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if (kind is float and not math.isfinite(value)) or not (
+            value > minimum if strict else value >= minimum
+        ):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
 
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
-    return value
+    return parse
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -98,7 +82,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--decimals",
-        type=_nonneg_int,
+        type=_number(int, 0, strict=False),
         default=3,
         metavar="N",
         help="score decimals in text/csv output (default 3; json keeps full precision)",
@@ -108,14 +92,14 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--win-weight",
-        type=_nonneg_float,
+        type=_number(float, 0, strict=False),
         default=3.0,
         metavar="W",
         help="points a win hands the winner (default 3)",
     )
     p.add_argument(
         "--draw-weight",
-        type=_nonneg_float,
+        type=_number(float, 0, strict=False),
         default=1.0,
         metavar="W",
         help="points a draw hands each side (default 1)",
@@ -171,14 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rank.add_argument(
         "--tol",
-        type=_positive_float,
+        type=_number(float, 0, strict=True),
         default=1e-12,
         metavar="T",
         help="convergence tolerance on successive-iterate change (default 1e-12)",
     )
     rank.add_argument(
         "--max-iters",
-        type=_positive_int,
+        type=_number(int, 1, strict=False),
         default=10000,
         metavar="N",
         help="iteration cap (default 10000)",
@@ -237,13 +221,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise CliError(f"file not found: {path}", EXIT_USAGE) from None
     except IsADirectoryError:
         raise CliError(f"not a file: {path}", EXIT_USAGE) from None
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_USAGE) from None
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {_decode_error(exc)}", EXIT_PARSE) from None
+    # universal newlines, as text-mode reading gives
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _decode_error(exc: UnicodeDecodeError) -> ParseError:
+    # the sentinel stands for the bad byte, so the last line always exists
+    # and its length is the byte's 1-based column
+    lines = (exc.object[: exc.start].decode("utf-8") + "?").splitlines()
+    bad = exc.object[exc.start]
+    return ParseError(f"byte 0x{bad:02x} is not valid UTF-8", line=len(lines), column=len(lines[-1]))
 
 
 def _format(args: argparse.Namespace) -> TableFormat:

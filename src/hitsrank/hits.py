@@ -153,77 +153,6 @@ def hub_gram(m: AdjacencyMatrix) -> npt.NDArray[np.float64]:
     return m.w @ m.w.T
 
 
-def normalize_l2(v: npt.ArrayLike) -> npt.NDArray[np.float64]:
-    """Scale a nonnegative vector to unit L2 norm.
-
-    Raises:
-        ValueError: if the vector is not 1-D, finite and nonnegative.
-        DegenerateInputError: if the vector is identically zero.
-    """
-    out = np.array(v, dtype=np.float64)
-    if out.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("vector entries must be finite")
-    if out.size and float(np.min(out)) < 0.0:
-        raise ValueError("vector entries must be nonnegative")
-    norm = float(np.linalg.norm(out))
-    if norm == 0.0:
-        raise DegenerateInputError("cannot normalize a zero vector")
-    return out / norm
-
-
-def power_iteration(
-    g: npt.ArrayLike, cfg: SolverConfig | None = None
-) -> tuple[float, npt.NDArray[np.float64], bool]:
-    """Principal eigenpair of a symmetric nonnegative matrix.
-
-    Repeats v <- g v / ||g v|| from the uniform start until the L2
-    change between successive vectors drops to ``cfg.tolerance`` or the
-    iteration cap is hit.
-
-    Returns:
-        (eigenvalue, eigenvector, converged) where the eigenvalue is the
-        Rayleigh quotient of the returned unit vector. When converged,
-        g v = eigenvalue * v holds within tolerance * eigenvalue.
-
-    Raises:
-        ValueError: if ``g`` is not square, symmetric and nonnegative.
-        DegenerateInputError: if ``g`` is identically zero.
-    """
-    if cfg is None:
-        cfg = SolverConfig()
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("matrix entries must be finite")
-    if g.size and float(np.min(g)) < 0.0:
-        raise ValueError("matrix entries must be nonnegative")
-    if not np.allclose(g, g.T, rtol=1e-10, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    n = g.shape[0]
-    if n == 0 or not g.any():
-        raise DegenerateInputError("zero matrix has no normalized eigenvector")
-
-    v = np.full(n, 1.0 / math.sqrt(n))
-    converged = False
-    for _ in range(cfg.max_iterations):
-        t = g @ v
-        norm = float(np.linalg.norm(t))
-        if norm == 0.0:
-            # unreachable for symmetric g (range and null space are orthogonal)
-            raise DegenerateInputError("iteration collapsed to the zero vector")
-        v_next = t / norm
-        delta = float(np.linalg.norm(v_next - v))
-        v = v_next
-        if delta <= cfg.tolerance:
-            converged = True
-            break
-    eigenvalue = float(v @ (g @ v))
-    return eigenvalue, v, converged
-
-
 def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
     """Compute authority and hub weights for a result graph.
 

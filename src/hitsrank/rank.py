@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from scipy.stats import kendalltau
+import numpy as np
 
 from hitsrank.graph import MatchRecord, Outcome, TeamIndex
 from hitsrank.hits import VectorKind, WeightVector
@@ -67,7 +67,7 @@ class RankTable:
             raise TypeError(f"ordering must be an Ordering, got {type(self.ordering).__name__}")
         if self.kind is not None and not isinstance(self.kind, TableKind):
             raise TypeError(f"kind must be a TableKind or None, got {type(self.kind).__name__}")
-        seen: set[str] = set()
+        positions: dict[str, int] = {}
         for row in rows:
             if row.rank < 1:
                 raise ValueError(f"ranks are 1-based, got {row.rank}")
@@ -75,18 +75,21 @@ class RankTable:
                 raise ValueError("team names must be non-empty")
             if not math.isfinite(row.score):
                 raise ValueError(f"score must be finite, got {row.score}")
-            if row.team in seen:
+            if row.team in positions:
                 raise ValueError(f"duplicate team in table: {row.team!r}")
-            seen.add(row.team)
+            positions[row.team] = row.rank
+        # lookup cache for rank_of; not a dataclass field, so it stays out
+        # of __eq__ and __repr__
+        object.__setattr__(self, "_rank_by_team", positions)
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def rank_of(self, team: str) -> int:
-        for row in self.rows:
-            if row.team == team:
-                return row.rank
-        raise KeyError(f"unknown team: {team!r}")
+        try:
+            return self._rank_by_team[team]
+        except KeyError:
+            raise KeyError(f"unknown team: {team!r}") from None
 
 
 def _competition_rows(
@@ -222,8 +225,31 @@ def compare_rankings(a: RankTable, b: RankTable) -> ComparisonReport:
         )
     )
     teams = sorted(ranks_a)
-    if len(teams) < 2:
-        tau = math.nan
-    else:
-        tau = float(kendalltau([ranks_a[t] for t in teams], [ranks_b[t] for t in teams]).statistic)
+    tau = _tau_b([ranks_a[t] for t in teams], [ranks_b[t] for t in teams])
     return ComparisonReport(rows=rows, kendall_tau=tau)
+
+
+def _tau_b(x: Sequence[int], y: Sequence[int]) -> float:
+    """Kendall tau-b by counting every pair; NaN if n < 2 or a side is all tied.
+
+    The final division runs in the same order as scipy.stats.kendalltau,
+    so the result matches it to the last bit.
+    """
+    n = len(x)
+    n0 = n * (n - 1) // 2
+    sign_x = _pair_signs(x)
+    sign_y = _pair_signs(y)
+    # the sign matrices are antisymmetric, so each pair is counted twice
+    s = int(np.sum(sign_x * sign_y, dtype=np.int64)) // 2
+    ties_x = n0 - np.count_nonzero(sign_x) // 2
+    ties_y = n0 - np.count_nonzero(sign_y) // 2
+    if ties_x == n0 or ties_y == n0:
+        return math.nan
+    tau = s / math.sqrt(n0 - ties_x) / math.sqrt(n0 - ties_y)
+    return min(1.0, max(-1.0, tau))
+
+
+def _pair_signs(v: Sequence[int]) -> np.ndarray:
+    # int8 sign(v[i] - v[j]) for every ordered pair
+    a = np.asarray(v)
+    return np.greater.outer(a, a).view(np.int8) - np.less.outer(a, a).view(np.int8)

@@ -193,6 +193,14 @@ class TestRankCommand:
         assert str(bad) in err
         assert "line 2" in err
 
+    def test_non_utf8_input_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("home,away,outcome\nA,Kö,H\n".encode("latin-1"))
+        code, out, err = run(capsys, "points", "--input", str(bad))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error: {bad}: line 2, column 4: byte 0xf6 is not valid UTF-8\n"
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, out, err = run(
             capsys,
@@ -368,3 +376,13 @@ class TestEntryPoints:
         )
         assert proc.returncode == EXIT_OK
         assert proc.stdout == "rank,team,score\n1,A,6\n1,D,6\n3,B,3\n3,C,3\n"
+
+    def test_cli_import_pulls_in_no_scipy(self):
+        # scipy costs about a second of start-up and the package needs none of it
+        code = (
+            "import hitsrank.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == "[]\n"

@@ -1,6 +1,4 @@
-"""Power iteration, the alternating hub/authority solver, and its contracts."""
-
-import math
+"""The alternating hub/authority solver and its contracts."""
 
 import numpy as np
 import pytest
@@ -33,8 +31,6 @@ from hitsrank import (
     build_adjacency,
     hits,
     hub_gram,
-    normalize_l2,
-    power_iteration,
 )
 
 
@@ -78,102 +74,6 @@ class TestGramMatrices:
         m = adj(np.zeros((3, 3)))
         assert np.array_equal(authority_gram(m), np.zeros((3, 3)))
         assert np.array_equal(hub_gram(m), np.zeros((3, 3)))
-
-
-class TestNormalizeL2:
-    def test_three_four_five(self):
-        assert np.allclose(normalize_l2(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
-
-    def test_unit_vector_unchanged(self):
-        v = np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(normalize_l2(v), v)
-
-    def test_uniform(self):
-        out = normalize_l2(np.ones(4))
-        assert np.allclose(out, [0.5, 0.5, 0.5, 0.5], atol=1e-15)
-
-    def test_zero_vector_is_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            normalize_l2(np.zeros(3))
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_l2(np.array([1.0, -1.0]))
-
-    def test_non_vector_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_l2(np.ones((2, 2)))
-
-
-class TestPowerIteration:
-    def test_diagonal_matrix(self):
-        lam, vec, converged = power_iteration(np.diag([2.0, 1.0]))
-        assert converged
-        assert lam == pytest.approx(2.0, abs=1e-9)
-        assert np.allclose(vec, [1.0, 0.0], atol=1e-5)
-
-    def test_four_node_authority_gram(self):
-        # principal eigenvalue of the 2x2 dominant block [[1,1],[1,2]]
-        # is (3 + sqrt(5)) / 2; eigenvector direction (1, (1+sqrt(5))/2)
-        lam, vec, converged = power_iteration(authority_gram(adj(FOUR_TEAM)))
-        assert converged
-        assert lam == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, rel=1e-9)
-        phi = (1.0 + math.sqrt(5.0)) / 2.0
-        expected = normalize_l2(np.array([1.0, 0.0, phi, 0.0]))
-        assert np.allclose(vec, expected, atol=1e-9)
-
-    def test_all_ones(self):
-        lam, vec, converged = power_iteration(np.ones((2, 2)))
-        assert converged
-        assert lam == pytest.approx(2.0, rel=1e-12)
-        assert np.allclose(vec, [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
-
-    def test_matches_dense_eigensolver(self):
-        rng = np.random.default_rng(123)
-        for _ in range(50):
-            w = random_weights(rng, int(rng.integers(2, 8)))
-            g = w @ w.T
-            if not g.any():
-                continue
-            lam, vec, converged = power_iteration(g)
-            ref_lam, ref_vec = principal_eigh(g)
-            assert lam == pytest.approx(ref_lam, rel=1e-9, abs=1e-12)
-            if converged and gram_spectrum_ratio(w) <= 0.9:
-                assert np.allclose(vec, ref_vec, atol=1e-7)
-
-    def test_unit_norm_output(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            w = random_weights(rng, 5)
-            g = w @ w.T
-            if not g.any():
-                continue
-            _, vec, _ = power_iteration(g)
-            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
-            assert vec.min() >= 0.0
-
-    def test_zero_matrix_is_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            power_iteration(np.zeros((3, 3)))
-
-    def test_empty_matrix_is_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            power_iteration(np.zeros((0, 0)))
-
-    def test_asymmetric_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            power_iteration(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            power_iteration(np.array([[1.0, -0.5], [-0.5, 1.0]]))
-
-    def test_iteration_cap_reported(self):
-        cfg = SolverConfig(tolerance=1e-15, max_iterations=1)
-        lam, vec, converged = power_iteration(authority_gram(adj(FOUR_TEAM)), cfg)
-        assert not converged
-        assert math.isfinite(lam)
-        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
 
 
 class TestSolverConfig:

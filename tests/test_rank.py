@@ -65,8 +65,19 @@ class TestRankTable:
 
     def test_unknown_team_lookup(self):
         t = table_from_scores({"A": 1.0}, Ordering.DESC_SCORE)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown team: 'Z'"):
             t.rank_of("Z")
+
+    def test_lookup_cache_is_not_part_of_value(self):
+        rows = (RankRow(1, "A", 2.0), RankRow(2, "B", 1.0))
+        t = RankTable(rows, Ordering.DESC_SCORE, TableKind.POINTS)
+        assert t == RankTable(rows, Ordering.DESC_SCORE, TableKind.POINTS)
+        assert repr(t) == (
+            "RankTable(rows=(RankRow(rank=1, team='A', score=2.0), "
+            "RankRow(rank=2, team='B', score=1.0)), "
+            "ordering=<Ordering.DESC_SCORE: 'DESC_SCORE'>, kind=<TableKind.POINTS: 'POINTS'>)"
+        )
+        assert [t.rank_of(team) for team in ("B", "A")] == [2, 1]
 
 
 class TestRankAuthority:
@@ -244,3 +255,25 @@ class TestCompareRankings:
             else:
                 assert report.kendall_tau == pytest.approx(expected, abs=1e-12)
             checked += 1
+
+    def test_tau_is_bit_identical_to_scipy(self):
+        # compare prints repr(tau) in csv and json, so the last bit matters
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(91)
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            names = [f"T{i}" for i in range(n)]
+            levels = int(rng.integers(1, n + 1))
+            sa = {t: float(rng.integers(0, levels)) for t in names}
+            sb = {t: float(rng.integers(0, n)) for t in names}
+            a = table_from_scores(sa, Ordering.DESC_SCORE)
+            b = table_from_scores(sb, Ordering.DESC_SCORE)
+            report = compare_rankings(a, b)
+            order = sorted(names)
+            ranks_a = [a.rank_of(t) for t in order]
+            ranks_b = [b.rank_of(t) for t in order]
+            expected = float(stats.kendalltau(ranks_a, ranks_b).statistic)
+            if math.isnan(expected):
+                assert math.isnan(report.kendall_tau)
+            else:
+                assert repr(report.kendall_tau) == repr(expected)
