@@ -1,5 +1,7 @@
 """The alternating hub/authority solver and its contracts."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import (
@@ -74,6 +76,78 @@ class TestGramMatrices:
         m = adj(np.zeros((3, 3)))
         assert np.array_equal(authority_gram(m), np.zeros((3, 3)))
         assert np.array_equal(hub_gram(m), np.zeros((3, 3)))
+
+
+class TestPowerIteration:
+    """The sweep is power iteration on the Gram matrices; check it as such."""
+
+    def test_diagonal_matrix(self):
+        # authority Gram diag(2, 1)
+        res = hits(adj(np.array([[0.0, 1.0], [math.sqrt(2.0), 0.0]])))
+        assert res.converged
+        assert res.authority_eigenvalue == pytest.approx(2.0, abs=1e-9)
+        assert np.allclose(res.authority.values, [1.0, 0.0], atol=1e-5)
+
+    def test_four_node_authority_gram(self):
+        # principal eigenvalue of the 2x2 dominant block [[1,1],[1,2]]
+        # is (3 + sqrt(5)) / 2; eigenvector direction (1, (1+sqrt(5))/2)
+        res = hits(adj(FOUR_TEAM))
+        assert res.converged
+        assert res.authority_eigenvalue == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, rel=1e-9)
+        phi = (1.0 + math.sqrt(5.0)) / 2.0
+        expected = np.array([1.0, 0.0, phi, 0.0]) / math.sqrt(1.0 + phi * phi)
+        assert np.allclose(res.authority.values, expected, atol=1e-9)
+
+    def test_all_ones(self):
+        # all ones off the diagonal: both Grams are I + J, top eigenpair (4, uniform)
+        res = hits(adj(np.ones((3, 3)) - np.eye(3)))
+        assert res.converged
+        assert res.authority_eigenvalue == pytest.approx(4.0, rel=1e-12)
+        assert res.hub_eigenvalue == pytest.approx(4.0, rel=1e-12)
+        for vec in (res.authority.values, res.hub.values):
+            assert np.allclose(vec, [math.sqrt(1.0 / 3.0)] * 3, atol=1e-12)
+
+    def test_matches_dense_eigensolver(self):
+        rng = np.random.default_rng(123)
+        for _ in range(50):
+            w = random_weights(rng, int(rng.integers(2, 8)))
+            if not w.any():
+                continue
+            res = hits(adj(w))
+            ref_lam, ref_vec = principal_eigh(w @ w.T)
+            assert res.hub_eigenvalue == pytest.approx(ref_lam, rel=1e-9, abs=1e-12)
+            if res.converged and gram_spectrum_ratio(w) <= 0.9:
+                assert np.allclose(res.hub.values, ref_vec, atol=1e-7)
+
+    def test_unit_norm_output(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            w = random_weights(rng, 5)
+            if not w.any():
+                continue
+            res = hits(adj(w))
+            for vec in (res.authority.values, res.hub.values):
+                assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+                assert vec.min() >= 0.0
+
+    def test_zero_matrix_is_degenerate(self):
+        with pytest.raises(DegenerateInputError):
+            hits(adj(np.zeros((3, 3))))
+
+    def test_empty_matrix_is_degenerate(self):
+        with pytest.raises(DegenerateInputError):
+            hits(adj(np.zeros((0, 0))))
+
+    def test_negative_entries_rejected(self):
+        with pytest.raises(ValueError):
+            hits(adj(np.array([[0.0, -0.5], [-0.5, 0.0]])))
+
+    def test_iteration_cap_reported(self):
+        cfg = SolverConfig(tolerance=1e-15, max_iterations=1)
+        res = hits(adj(FOUR_TEAM), cfg)
+        assert not res.converged
+        assert math.isfinite(res.authority_eigenvalue)
+        assert abs(np.linalg.norm(res.authority.values) - 1.0) <= 1e-12
 
 
 class TestSolverConfig:
