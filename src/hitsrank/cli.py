@@ -18,13 +18,14 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
-from hitsrank.graph import AdjacencyMatrix, build_adjacency, sort_teams
+from hitsrank.graph import AdjacencyMatrix, MatchRecord, build_adjacency, sort_teams
 from hitsrank.hits import DegenerateInputError, HitsResult, SolverConfig, hits
 from hitsrank.io import (
     ParseError,
     TableFormat,
+    _lines,
     emit_comparison,
     emit_matrix,
     emit_table,
@@ -40,6 +41,8 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_DEGENERATE = 4
 EXIT_NO_CONVERGENCE = 5
+
+_T = TypeVar("_T")
 
 _HUB_ORDERS = {"best-first": HubOrder.BEST_TEAM_FIRST, "raw-desc": HubOrder.RAW_DESC}
 
@@ -229,38 +232,33 @@ def _read(path: str) -> str:
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_USAGE) from None
     try:
-        text = raw.decode("utf-8-sig")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: {_decode_error(exc)}", EXIT_PARSE) from None
-    # universal newlines, as text-mode reading gives
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+        raise _decode_error(exc) from None
 
 
 def _decode_error(exc: UnicodeDecodeError) -> ParseError:
     # the sentinel stands for the bad byte, so the last line always exists
     # and its length is the byte's 1-based column
-    lines = (exc.object[: exc.start].decode("utf-8") + "?").splitlines()
+    lines = _lines(exc.object[: exc.start].decode("utf-8") + "?")
     bad = exc.object[exc.start]
     return ParseError(f"byte 0x{bad:02x} is not valid UTF-8", line=len(lines), column=len(lines[-1]))
+
+
+def _parse(path: str, parser: Callable[[str], _T]) -> _T:
+    try:
+        return parser(_read(path))
+    except ParseError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_PARSE) from None
 
 
 def _format(args: argparse.Namespace) -> TableFormat:
     return TableFormat[args.format.upper()]
 
 
-def _load_adjacency(args: argparse.Namespace) -> AdjacencyMatrix:
-    text = _read(args.input)
-    try:
-        if args.input_kind == "matches":
-            m = build_adjacency(
-                parse_matches(text),
-                win_weight=args.win_weight,
-                draw_weight=args.draw_weight,
-            )
-            return sort_teams(m) if args.sort_teams else m
-        return parse_matrix(text)
-    except ParseError as exc:
-        raise CliError(f"{args.input}: {exc}", EXIT_PARSE) from None
+def _match_matrix(matches: list[MatchRecord], args: argparse.Namespace) -> AdjacencyMatrix:
+    m = build_adjacency(matches, win_weight=args.win_weight, draw_weight=args.draw_weight)
+    return sort_teams(m) if args.sort_teams else m
 
 
 def _run_hits(m: AdjacencyMatrix, args: argparse.Namespace) -> HitsResult:
@@ -284,7 +282,10 @@ def _run_hits(m: AdjacencyMatrix, args: argparse.Namespace) -> HitsResult:
 
 
 def _cmd_rank(args: argparse.Namespace) -> str:
-    m = _load_adjacency(args)
+    if args.input_kind == "matches":
+        m = _match_matrix(_parse(args.input, parse_matches), args)
+    else:
+        m = _parse(args.input, parse_matrix)
     result = _run_hits(m, args)
     fmt = _format(args)
     tables = []
@@ -301,37 +302,17 @@ def _cmd_rank(args: argparse.Namespace) -> str:
 
 
 def _cmd_points(args: argparse.Namespace) -> str:
-    text = _read(args.input)
-    try:
-        matches = parse_matches(text)
-    except ParseError as exc:
-        raise CliError(f"{args.input}: {exc}", EXIT_PARSE) from None
+    matches = _parse(args.input, parse_matches)
     table = points_table(matches, win_points=args.win_weight, draw_points=args.draw_weight)
     return emit_table(table, _format(args), args.decimals)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> str:
-    text = _read(args.input)
-    try:
-        m = build_adjacency(
-            parse_matches(text),
-            win_weight=args.win_weight,
-            draw_weight=args.draw_weight,
-        )
-    except ParseError as exc:
-        raise CliError(f"{args.input}: {exc}", EXIT_PARSE) from None
-    if args.sort_teams:
-        m = sort_teams(m)
-    return emit_matrix(m)
+    return emit_matrix(_match_matrix(_parse(args.input, parse_matches), args))
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
-    tables = []
-    for path in (args.table_a, args.table_b):
-        try:
-            tables.append(parse_table(_read(path)))
-        except ParseError as exc:
-            raise CliError(f"{path}: {exc}", EXIT_PARSE) from None
+    tables = [_parse(path, parse_table) for path in (args.table_a, args.table_b)]
     try:
         report = compare_rankings(tables[0], tables[1])
     except ValueError as exc:

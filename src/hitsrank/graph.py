@@ -52,7 +52,10 @@ class MatchRecord:
 
 @dataclass(frozen=True)
 class TeamIndex:
-    """Bijection between team names and dense matrix indices 0..n-1."""
+    """Bijection between team names and dense matrix indices 0..n-1.
+
+    Names must be unique and non-blank.
+    """
 
     names: tuple[str, ...]
     _pos: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -62,6 +65,8 @@ class TeamIndex:
         object.__setattr__(self, "names", names)
         pos: dict[str, int] = {}
         for i, name in enumerate(names):
+            if not name.strip():
+                raise ValueError("team names must be non-empty after trimming")
             if name in pos:
                 raise ValueError(f"duplicate team name: {name!r}")
             pos[name] = i
@@ -114,6 +119,39 @@ class AdjacencyMatrix:
         return len(self.index)
 
 
+def _encode(
+    matches: Iterable[MatchRecord],
+) -> tuple[TeamIndex, npt.NDArray[np.intp], npt.NDArray[np.intp], npt.NDArray[np.bool_]]:
+    """Teams in first-appearance order, plus winner, loser and drawn per record.
+
+    A draw lists ``team_a`` as its winner. This is the one reader of a
+    record's names and outcome.
+
+    Raises:
+        TypeError: if an element of ``matches`` is not a MatchRecord.
+    """
+    pos: dict[str, int] = {}
+    winner: list[int] = []
+    loser: list[int] = []
+    drawn: list[bool] = []
+    for rec in matches:
+        if not isinstance(rec, MatchRecord):
+            raise TypeError(f"expected MatchRecord, got {type(rec).__name__}")
+        a = pos.setdefault(rec.team_a, len(pos))
+        b = pos.setdefault(rec.team_b, len(pos))
+        if rec.outcome is Outcome.B_WINS:
+            a, b = b, a
+        winner.append(a)
+        loser.append(b)
+        drawn.append(rec.outcome is Outcome.DRAW)
+    return (
+        TeamIndex(tuple(pos)),
+        np.array(winner, dtype=np.intp),
+        np.array(loser, dtype=np.intp),
+        np.array(drawn, dtype=bool),
+    )
+
+
 def build_adjacency(
     matches: Iterable[MatchRecord],
     win_weight: float = 3.0,
@@ -144,30 +182,17 @@ def build_adjacency(
     if not (np.isfinite(draw_weight) and draw_weight >= 0.0):
         raise ValueError(f"draw_weight must be nonnegative and finite, got {draw_weight}")
 
-    records = list(matches)
-    for rec in records:
-        if not isinstance(rec, MatchRecord):
-            raise TypeError(f"expected MatchRecord, got {type(rec).__name__}")
-
-    names: list[str] = []
-    pos: dict[str, int] = {}
-    for rec in records:
-        for name in (rec.team_a, rec.team_b):
-            if name not in pos:
-                pos[name] = len(names)
-                names.append(name)
-
-    w = np.zeros((len(names), len(names)), dtype=np.float64)
-    for rec in records:
-        ia, ib = pos[rec.team_a], pos[rec.team_b]
-        if rec.outcome is Outcome.A_WINS:
-            w[ib, ia] += win_weight
-        elif rec.outcome is Outcome.B_WINS:
-            w[ia, ib] += win_weight
-        else:
-            w[ia, ib] += draw_weight
-            w[ib, ia] += draw_weight
-    return AdjacencyMatrix(TeamIndex(tuple(names)), w)
+    index, winner, loser, drawn = _encode(matches)
+    n = len(index)
+    # two events per record in file order: the points into the winner's
+    # column, then a draw's points back (0 for a win), so each cell sums
+    # its terms in the same order as accumulating record by record
+    cells = np.column_stack((loser * n + winner, winner * n + loser)).ravel()
+    weights = np.column_stack(
+        (np.where(drawn, draw_weight, win_weight), np.where(drawn, draw_weight, 0.0))
+    ).ravel()
+    w = np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
+    return AdjacencyMatrix(index, w)
 
 
 def transpose(m: AdjacencyMatrix) -> AdjacencyMatrix:
@@ -185,10 +210,7 @@ def from_named_matrix(names: Sequence[str], values: npt.ArrayLike) -> AdjacencyM
         ValueError: on duplicate or empty names, a dimension mismatch,
             a negative entry, or a nonzero diagonal entry.
     """
-    trimmed = tuple(str(name).strip() for name in names)
-    if any(not name for name in trimmed):
-        raise ValueError("team names must be non-empty after trimming")
-    index = TeamIndex(trimmed)  # rejects duplicates
+    index = TeamIndex(tuple(str(name).strip() for name in names))
     try:
         w = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:

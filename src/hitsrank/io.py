@@ -8,10 +8,13 @@ File formats (strict schemas, no extra columns):
   team name plus one weight per team, rows in header order.
 * rank table CSV: header ``rank,team,score``.
 
-CRLF and LF line endings are both accepted, a trailing newline is
-optional, and surrounding whitespace in fields is trimmed. Every parse
-failure raises ParseError carrying a 1-based line (and column where it
-applies); parsers never raise anything else on malformed text.
+Files are UTF-8 with an optional leading BOM. LF, CRLF or CR end a
+line and nothing else does, so a form feed or U+2028 inside a field
+stays in it; a trailing newline is optional. Each record is one line,
+fields are trimmed, and a name holding a comma is quoted ("Alpha, FC").
+Every parse failure raises ParseError carrying a 1-based line (and
+column where it is known); parsers never raise anything else on
+malformed text.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from io import StringIO
 from typing import Any
 
-from hitsrank.graph import AdjacencyMatrix, MatchRecord, Outcome, from_named_matrix
+from hitsrank.graph import AdjacencyMatrix, MatchRecord, Outcome, TeamIndex, from_named_matrix
 from hitsrank.rank import ComparisonReport, Ordering, RankRow, RankTable, TableKind
 
 _OUTCOME_BY_CODE = {"H": Outcome.A_WINS, "A": Outcome.B_WINS, "D": Outcome.DRAW}
@@ -55,7 +58,12 @@ class ParseError(ValueError):
 
 
 def _lines(text: str) -> list[str]:
-    return text.lstrip("﻿").splitlines()
+    # only LF, CRLF and CR end a line: a form feed, \x1c-\x1e, \x85 or
+    # U+2028/U+2029 is part of a field
+    lines = text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _fields(line: str) -> list[str]:
@@ -82,13 +90,12 @@ def parse_matches(text: str) -> list[MatchRecord]:
         if len(fields) != 3:
             raise ParseError(f"expected 3 fields, got {len(fields)}", line=line_no)
         home, away, code = fields
-        if not home or not away:
-            raise ParseError("team name is empty", line=line_no)
         if code not in _OUTCOME_BY_CODE:
             raise ParseError(f"unknown outcome {code!r}, expected H, A or D", line=line_no)
-        if home == away:
-            raise ParseError(f"a team cannot play itself: {home!r}", line=line_no)
-        records.append(MatchRecord(home, away, _OUTCOME_BY_CODE[code]))
+        try:
+            records.append(MatchRecord(home, away, _OUTCOME_BY_CODE[code]))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=line_no) from None
     return records
 
 
@@ -97,15 +104,10 @@ def parse_matrix(text: str) -> AdjacencyMatrix:
     lines = _lines(text)
     if not lines:
         return from_named_matrix((), [])
-    names = _fields(lines[0])
-    for col, name in enumerate(names, start=1):
-        if not name:
-            raise ParseError("empty team name in header", line=1, column=col)
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise ParseError(f"duplicate team name {name!r}", line=1)
-        seen.add(name)
+    try:
+        names = TeamIndex(tuple(_fields(lines[0]))).names
+    except ValueError as exc:
+        raise ParseError(str(exc), line=1) from None
     n = len(names)
     data_lines = lines[1:]
     if len(data_lines) < n:
@@ -288,8 +290,7 @@ def _infer_ordering(scores: list[float], context: list[int | None]) -> Ordering:
     return Ordering.DESC_SCORE
 
 
-def _parse_table_csv(text: str) -> RankTable:
-    lines = _lines(text)
+def _parse_table_csv(lines: list[str]) -> RankTable:
     if not lines:
         raise ParseError("missing header rank,team,score", line=1)
     if _fields(lines[0]) != _TABLE_HEADER:
@@ -390,7 +391,8 @@ def parse_table(text: str) -> RankTable:
     follow tie-break rules of their own. CSV tables get their ordering
     inferred from score monotonicity, JSON tables may declare it.
     """
-    stripped = text.lstrip("﻿").lstrip()
-    if stripped.startswith("{"):
-        return _parse_table_json(text)
-    return _parse_table_csv(text)
+    lines = _lines(text)
+    joined = "\n".join(lines)
+    if joined.lstrip().startswith("{"):
+        return _parse_table_json(joined)
+    return _parse_table_csv(lines)

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from hitsrank.graph import MatchRecord, Outcome, TeamIndex
+from hitsrank.graph import MatchRecord, TeamIndex, _encode
 from hitsrank.hits import VectorKind, WeightVector
 
 
@@ -155,26 +155,12 @@ def points_table(
     draw_points = float(draw_points)
     if not math.isfinite(win_points) or not math.isfinite(draw_points):
         raise ValueError("points parameters must be finite")
-    names: list[str] = []
-    wins: dict[str, int] = {}
-    draws: dict[str, int] = {}
-    for rec in matches:
-        if not isinstance(rec, MatchRecord):
-            raise TypeError(f"expected MatchRecord, got {type(rec).__name__}")
-        for name in (rec.team_a, rec.team_b):
-            if name not in wins:
-                names.append(name)
-                wins[name] = 0
-                draws[name] = 0
-        if rec.outcome is Outcome.A_WINS:
-            wins[rec.team_a] += 1
-        elif rec.outcome is Outcome.B_WINS:
-            wins[rec.team_b] += 1
-        else:
-            draws[rec.team_a] += 1
-            draws[rec.team_b] += 1
-    scores = [win_points * wins[n] + draw_points * draws[n] for n in names]
-    rows = _competition_rows(names, scores, Ordering.DESC_SCORE)
+    index, winner, loser, drawn = _encode(matches)
+    n = len(index)
+    wins = np.bincount(winner[~drawn], minlength=n)
+    draws = np.bincount(winner[drawn], minlength=n) + np.bincount(loser[drawn], minlength=n)
+    scores = win_points * wins + draw_points * draws
+    rows = _competition_rows(index.names, scores.tolist(), Ordering.DESC_SCORE)
     return RankTable(rows, Ordering.DESC_SCORE, TableKind.POINTS)
 
 

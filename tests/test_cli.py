@@ -1,6 +1,7 @@
 """End-to-end command line behavior: outputs, diagnostics and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -19,12 +20,20 @@ from hitsrank.cli import (
 MINI = str(DATA_DIR / "mini_league_matches.csv")
 LEAGUE = str(DATA_DIR / "epl_2010_11_adjacency.csv")
 OFFICIAL = str(DATA_DIR / "epl_2010_11_official_points.csv")
+SRC = str(DATA_DIR.parent / "src")
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env() -> dict[str, str]:
+    """This environment with the package source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 class TestRankCommand:
@@ -201,6 +210,14 @@ class TestRankCommand:
         assert out == ""
         assert err == f"error: {bad}: line 2, column 4: byte 0xf6 is not valid UTF-8\n"
 
+    def test_bad_byte_after_form_feed_counts_only_newlines(self, capsys, tmp_path):
+        bad = tmp_path / "ff.csv"
+        bad.write_bytes(b"home,away,outcome\nA,B,H\nX\x0cY,\xff,H\n")
+        code, out, err = run(capsys, "points", "--input", str(bad))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error: {bad}: line 3, column 5: byte 0xff is not valid UTF-8\n"
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, out, err = run(
             capsys,
@@ -305,6 +322,29 @@ class TestMatrixCommand:
         )
         assert from_matrix == from_matches
 
+    @pytest.mark.parametrize("ch", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_name_with_non_newline_break_round_trips(self, capsys, tmp_path, ch):
+        name = f"A{ch}X"
+        matches = tmp_path / "matches.csv"
+        matches.write_bytes(f"home,away,outcome\n{name},B,H\nB,C,D\nC,{name},A\n".encode())
+        code, matrix_out, _ = run(capsys, "matrix", "--input", str(matches))
+        assert code == EXIT_OK
+        saved = tmp_path / "m.csv"
+        saved.write_bytes(matrix_out.encode())
+        code, from_matrix, _ = run(
+            capsys,
+            "rank", "--input", str(saved), "--input-kind", "matrix", "--format", "json",
+        )
+        assert code == EXIT_OK
+        _, from_matches, _ = run(
+            capsys,
+            "rank", "--input", str(matches), "--input-kind", "matches", "--format", "json",
+        )
+        assert from_matrix == from_matches
+        assert {row["team"] for row in json.loads(from_matrix)["authority"]["rows"]} == {
+            name, "B", "C"
+        }
+
 
 class TestCompareCommand:
     def test_identical_tables(self, capsys, tmp_path):
@@ -373,6 +413,7 @@ class TestEntryPoints:
              "--format", "csv"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == EXIT_OK
         assert proc.stdout == "rank,team,score\n1,A,6\n1,D,6\n3,B,3\n3,C,3\n"
@@ -383,6 +424,8 @@ class TestEntryPoints:
             "import hitsrank.cli, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
         assert proc.returncode == EXIT_OK
         assert proc.stdout == "[]\n"

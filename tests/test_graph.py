@@ -94,6 +94,27 @@ class TestAdjacencyMatrix:
         assert m.n == 0
 
 
+def record_loop_adjacency(
+    records: list[MatchRecord], win_weight: float, draw_weight: float
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Team names and weights, accumulated one record at a time (reference oracle)."""
+    pos: dict[str, int] = {}
+    for rec in records:
+        for name in (rec.team_a, rec.team_b):
+            pos.setdefault(name, len(pos))
+    w = np.zeros((len(pos), len(pos)))
+    for rec in records:
+        ia, ib = pos[rec.team_a], pos[rec.team_b]
+        if rec.outcome is Outcome.A_WINS:
+            w[ib, ia] += win_weight
+        elif rec.outcome is Outcome.B_WINS:
+            w[ia, ib] += win_weight
+        else:
+            w[ia, ib] += draw_weight
+            w[ib, ia] += draw_weight
+    return tuple(pos), w
+
+
 class TestBuildAdjacency:
     def test_mini_league_matrix(self):
         m = build_adjacency(mini_matches())
@@ -131,6 +152,17 @@ class TestBuildAdjacency:
         m = build_adjacency(records)
         # X won both times, so Y's row sends 6 to X's column
         assert m.w[m.index.index_of("Y"), m.index.index_of("X")] == 6.0
+
+    def test_bit_identical_to_record_loop(self):
+        rng = np.random.default_rng(71)
+        for _ in range(1000):
+            # five teams give 20 ordered pairs, so longer lists repeat fixtures
+            records = random_matches(rng, max_teams=5, max_matches=40)
+            for win_weight, draw_weight in [(3.0, 1.0), (0.1, 0.7), (1 / 3, 0.2)]:
+                m = build_adjacency(records, win_weight=win_weight, draw_weight=draw_weight)
+                names, w = record_loop_adjacency(records, win_weight, draw_weight)
+                assert m.index.names == names
+                assert m.w.tobytes() == w.tobytes()
 
     def test_custom_weights(self):
         records = [

@@ -28,6 +28,10 @@ from hitsrank import (
     table_object,
 )
 
+# characters str.splitlines breaks at that are neither LF nor CR, so a
+# CSV field may hold them
+NON_NEWLINE_BREAKS = ["\x0c", "\x1c", "\x85", "\u2028"]
+
 MINI_CSV = (
     "home,away,outcome\n"
     "A,B,H\n"
@@ -116,6 +120,15 @@ class TestParseMatches:
             parse_matches("home,away,outcome\n,B,H\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("ch", NON_NEWLINE_BREAKS)
+    def test_name_with_non_newline_break_is_one_row(self, ch):
+        name = f"A{ch}X"
+        recs = parse_matches(f"home,away,outcome\n{name},B,H\nB,C,D\n")
+        assert [(r.team_a, r.team_b) for r in recs] == [(name, "B"), ("B", "C")]
+        with pytest.raises(ParseError) as exc:
+            parse_matches(f"home,away,outcome\n{name},B,H\nB,C,W\n")
+        assert exc.value.line == 3
+
 
 class TestParseMatrix:
     def test_small_round_trip(self):
@@ -189,6 +202,16 @@ class TestParseMatrix:
             parse_matrix("A,B\nA,2,1\nB,1,0\n")
         assert exc.value.line == 2
         assert exc.value.column == 2
+
+    @pytest.mark.parametrize("ch", NON_NEWLINE_BREAKS)
+    def test_name_with_non_newline_break_is_one_row(self, ch):
+        name = f"A{ch}X"
+        m = parse_matrix(f"{name},B\n{name},0,1\nB,2,0\n")
+        assert m.index.names == (name, "B")
+        assert np.array_equal(m.w, [[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(f"{name},B\n{name},0,1\nB,x,0\n")
+        assert (exc.value.line, exc.value.column) == (3, 2)
 
     def test_round_trip_random_builds(self):
         rng = np.random.default_rng(61)
@@ -378,6 +401,21 @@ class TestParseTable:
         with pytest.raises(ParseError) as exc:
             parse_table("rank,team,score\n1,A,none\n")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("ch", NON_NEWLINE_BREAKS)
+    def test_csv_name_with_non_newline_break_is_one_row(self, ch):
+        name = f"A{ch}X"
+        t = parse_table(f"rank,team,score\n1,{name},2\n2,B,1\n")
+        assert t.rows == (RankRow(1, name, 2.0), RankRow(2, "B", 1.0))
+        with pytest.raises(ParseError) as exc:
+            parse_table(f"rank,team,score\n1,{name},2\n2,B,1\nx,C,0\n")
+        assert exc.value.line == 4
+
+    def test_leading_bom_in_csv_and_json(self):
+        t = points_table(mini_matches())
+        for fmt in (TableFormat.CSV, TableFormat.JSON):
+            text = emit_table(t, fmt)
+            assert parse_table("\ufeff" + text) == parse_table(text)
 
     def test_csv_duplicate_team(self):
         with pytest.raises(ParseError):

@@ -137,6 +137,26 @@ class TestRankHub:
         assert t.rows == (RankRow(1, "Solo", 1.0),)
 
 
+def record_loop_points(
+    records: list[MatchRecord], win_points: float, draw_points: float
+) -> dict[str, float]:
+    """Points per team, counted one record at a time (reference oracle)."""
+    wins: dict[str, int] = {}
+    draws: dict[str, int] = {}
+    for rec in records:
+        for name in (rec.team_a, rec.team_b):
+            wins.setdefault(name, 0)
+            draws.setdefault(name, 0)
+        if rec.outcome is Outcome.A_WINS:
+            wins[rec.team_a] += 1
+        elif rec.outcome is Outcome.B_WINS:
+            wins[rec.team_b] += 1
+        else:
+            draws[rec.team_a] += 1
+            draws[rec.team_b] += 1
+    return {name: win_points * wins[name] + draw_points * draws[name] for name in wins}
+
+
 class TestPointsTable:
     def test_mini_league(self):
         t = points_table(mini_matches())
@@ -169,6 +189,16 @@ class TestPointsTable:
     def test_invalid_points_rejected(self):
         with pytest.raises(ValueError):
             points_table([], win_points=float("nan"))
+
+    def test_bit_identical_to_record_loop(self):
+        rng = np.random.default_rng(73)
+        for _ in range(1000):
+            # five teams give 20 ordered pairs, so longer lists repeat fixtures
+            records = random_matches(rng, max_teams=5, max_matches=40)
+            for win_points, draw_points in [(3.0, 1.0), (0.1, 0.7), (1 / 3, 0.2)]:
+                t = points_table(records, win_points=win_points, draw_points=draw_points)
+                scores = record_loop_points(records, win_points, draw_points)
+                assert t.rows == table_from_scores(scores, Ordering.DESC_SCORE).rows
 
     def test_order_invariant_under_point_rescale(self):
         rng = np.random.default_rng(13)
