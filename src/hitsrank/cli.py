@@ -92,9 +92,17 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _MatchOnly(argparse.Action):
+    # "store" ("store_true" with nargs=0) that notes a flag rank refuses on a matrix
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
+        namespace.match_only = True
+
+
 def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--win-weight",
+        action=_MatchOnly,
         type=_number(float, 0, strict=False),
         default=3.0,
         metavar="W",
@@ -102,6 +110,7 @@ def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--draw-weight",
+        action=_MatchOnly,
         type=_number(float, 0, strict=False),
         default=1.0,
         metavar="W",
@@ -112,7 +121,9 @@ def _add_weight_flags(p: argparse.ArgumentParser) -> None:
 def _add_match_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--sort-teams",
-        action="store_true",
+        action=_MatchOnly,
+        nargs=0,
+        default=False,
         help="index teams alphabetically instead of by first appearance",
     )
 
@@ -125,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
             "of a weighted match-outcome graph."
         ),
     )
+    parser.set_defaults(match_only=False)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     rank = sub.add_parser(
@@ -284,6 +296,8 @@ def _run_hits(m: AdjacencyMatrix, args: argparse.Namespace) -> HitsResult:
 def _cmd_rank(args: argparse.Namespace) -> str:
     if args.input_kind == "matches":
         m = _match_matrix(_parse(args.input, parse_matches), args)
+    elif args.match_only:
+        raise CliError("--win-weight, --draw-weight and --sort-teams apply only to --input-kind matches")
     else:
         m = _parse(args.input, parse_matrix)
     result = _run_hits(m, args)

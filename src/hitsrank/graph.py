@@ -101,8 +101,14 @@ class AdjacencyMatrix:
     w: npt.NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        w = np.array(self.w, dtype=np.float64)  # defensive copy
+        try:
+            w = np.array(self.w, dtype=np.float64)  # defensive copy
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"matrix values must be numeric: {exc}") from None
         n = len(self.index)
+        if n == 0 and w.size == 0:
+            # an empty list of rows has ambiguous shape; normalize it
+            w = w.reshape((0, 0))
         if w.shape != (n, n):
             raise ValueError(f"matrix shape {w.shape} does not match {n} teams")
         if not np.all(np.isfinite(w)):
@@ -210,18 +216,7 @@ def from_named_matrix(names: Sequence[str], values: npt.ArrayLike) -> AdjacencyM
         ValueError: on duplicate or empty names, a dimension mismatch,
             a negative entry, or a nonzero diagonal entry.
     """
-    index = TeamIndex(tuple(str(name).strip() for name in names))
-    try:
-        w = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"matrix values must be numeric: {exc}") from None
-    n = len(index)
-    if n == 0 and w.size == 0:
-        # an empty list of rows has ambiguous shape; normalize it
-        w = w.reshape((0, 0))
-    if w.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix for {n} names, got shape {w.shape}")
-    return AdjacencyMatrix(index, w)
+    return AdjacencyMatrix(TeamIndex(tuple(str(name).strip() for name in names)), values)
 
 
 def sort_teams(m: AdjacencyMatrix) -> AdjacencyMatrix:

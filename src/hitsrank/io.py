@@ -24,10 +24,10 @@ import enum
 import json
 import math
 from io import StringIO
-from typing import Any
+from typing import Any, Iterator
 
 from hitsrank.graph import AdjacencyMatrix, MatchRecord, Outcome, TeamIndex, from_named_matrix
-from hitsrank.rank import ComparisonReport, Ordering, RankRow, RankTable, TableKind
+from hitsrank.rank import ComparisonReport, Ordering, RankRow, RankTable, TableKind, _bad_row
 
 _OUTCOME_BY_CODE = {"H": Outcome.A_WINS, "A": Outcome.B_WINS, "D": Outcome.DRAW}
 _MATCH_HEADER = ["home", "away", "outcome"]
@@ -67,10 +67,21 @@ def _lines(text: str) -> list[str]:
 
 
 def _fields(line: str) -> list[str]:
-    rows = list(csv.reader([line]))
-    if not rows:
-        return []
-    return [f.strip() for f in rows[0]]
+    return [f.strip() for row in csv.reader([line]) for f in row]
+
+
+def _records(lines: list[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each row under a fixed CSV header, one line at a time."""
+    spec = ",".join(header)
+    if not lines:
+        raise ParseError(f"missing header {spec}", line=1)
+    if _fields(lines[0]) != header:
+        raise ParseError(f"expected header {spec}, got {lines[0]!r}", line=1)
+    for line_no, line in enumerate(lines[1:], start=2):
+        fields = _fields(line)
+        if len(fields) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", line=line_no)
+        yield line_no, fields
 
 
 def parse_matches(text: str) -> list[MatchRecord]:
@@ -79,17 +90,8 @@ def parse_matches(text: str) -> list[MatchRecord]:
     The home side maps to ``team_a``, so H means team_a wins and A means
     team_b wins.
     """
-    lines = _lines(text)
-    if not lines:
-        raise ParseError("missing header home,away,outcome", line=1)
-    if _fields(lines[0]) != _MATCH_HEADER:
-        raise ParseError(f"expected header home,away,outcome, got {lines[0]!r}", line=1)
     records: list[MatchRecord] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = _fields(line)
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 fields, got {len(fields)}", line=line_no)
-        home, away, code = fields
+    for line_no, (home, away, code) in _records(_lines(text), _MATCH_HEADER):
         if code not in _OUTCOME_BY_CODE:
             raise ParseError(f"unknown outcome {code!r}, expected H, A or D", line=line_no)
         try:
@@ -153,13 +155,13 @@ def _check_decimals(decimals: int) -> int:
 
 
 def _format_score(score: float, kind: TableKind | None, decimals: int) -> str:
-    # points stay exact integers; weights use fixed decimals
-    if kind is TableKind.POINTS and float(score).is_integer():
-        return str(int(score))
-    return f"{score:.{decimals}f}"
+    # weights use fixed decimals
+    value = _json_score(score, kind)
+    return str(value) if isinstance(value, int) else f"{value:.{decimals}f}"
 
 
 def _json_score(score: float, kind: TableKind | None) -> int | float:
+    # points stay exact integers
     if kind is TableKind.POINTS and float(score).is_integer():
         return int(score)
     return float(score)
@@ -274,58 +276,54 @@ def emit_comparison(report: ComparisonReport, format: TableFormat, decimals: int
     return "\n".join(lines) + "\n"
 
 
-def _infer_ordering(scores: list[float], context: list[int | None]) -> Ordering:
-    increased: int | None = None
-    decreased: int | None = None
-    for i in range(1, len(scores)):
-        if scores[i] > scores[i - 1] and increased is None:
-            increased = i
-        if scores[i] < scores[i - 1] and decreased is None:
-            decreased = i
-        if increased is not None and decreased is not None:
-            line = context[max(increased, decreased)]
-            raise ParseError("scores are not monotone; not a rank table", line=line)
-    if increased is not None:
-        return Ordering.ASC_SCORE
-    return Ordering.DESC_SCORE
+def _table(rows: list[RankRow], declared: Ordering | None, kind: TableKind | None, csv_rows: bool) -> RankTable:
+    """Build a parsed table, positioning a broken rule at its CSV line and column or JSON row."""
+
+    def error(i: int, field: str | None, message: str) -> ParseError:
+        if not csv_rows:
+            return ParseError(f"row {i + 1}: {message}")
+        column = _TABLE_HEADER.index(field) + 1 if field else None
+        return ParseError(message, line=i + 2, column=column)
+
+    bad = _bad_row(rows)
+    if bad is not None:
+        raise error(*bad)
+    # the declared ordering, else the one the first score change sets
+    ordering = declared
+    for i in range(1, len(rows)):
+        previous, score = rows[i - 1].score, rows[i].score
+        if ordering is None and score != previous:
+            ordering = Ordering.ASC_SCORE if score > previous else Ordering.DESC_SCORE
+        if score < previous if ordering is Ordering.ASC_SCORE else score > previous:
+            if declared is not None:
+                raise error(i, None, "scores violate declared ordering")
+            raise error(i, None, "scores are not monotone; not a rank table")
+    return RankTable(tuple(rows), ordering or Ordering.DESC_SCORE, kind)
 
 
 def _parse_table_csv(lines: list[str]) -> RankTable:
-    if not lines:
-        raise ParseError("missing header rank,team,score", line=1)
-    if _fields(lines[0]) != _TABLE_HEADER:
-        raise ParseError(f"expected header rank,team,score, got {lines[0]!r}", line=1)
     rows: list[RankRow] = []
-    scores: list[float] = []
-    context: list[int | None] = []
-    seen: set[str] = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = _fields(line)
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 fields, got {len(fields)}", line=line_no)
-        rank_field, team, score_field = fields
+    for line_no, (rank_field, team, score_field) in _records(lines, _TABLE_HEADER):
         try:
             rank = int(rank_field)
         except ValueError:
             raise ParseError(f"rank must be an integer, got {rank_field!r}", line=line_no, column=1) from None
-        if rank < 1:
-            raise ParseError(f"ranks are 1-based, got {rank}", line=line_no, column=1)
-        if not team:
-            raise ParseError("team name is empty", line=line_no, column=2)
-        if team in seen:
-            raise ParseError(f"duplicate team {team!r}", line=line_no, column=2)
-        seen.add(team)
         try:
             score = float(score_field)
         except ValueError:
             raise ParseError(f"score must be a number, got {score_field!r}", line=line_no, column=3) from None
-        if not math.isfinite(score):
-            raise ParseError(f"score must be finite, got {score_field!r}", line=line_no, column=3)
         rows.append(RankRow(rank, team, score))
-        scores.append(score)
-        context.append(line_no)
-    ordering = _infer_ordering(scores, context)
-    return RankTable(tuple(rows), ordering, None)
+    return _table(rows, None, None, csv_rows=True)
+
+
+def _member(obj: dict[str, Any], key: str, enum_type: type[enum.Enum]) -> Any:
+    # an optional enum-valued key, named case-insensitively
+    if obj.get(key) is None:
+        return None
+    try:
+        return enum_type[str(obj[key]).upper()]
+    except KeyError:
+        raise ParseError(f"unknown {key} {obj[key]!r}") from None
 
 
 def _parse_table_json(text: str) -> RankTable:
@@ -333,6 +331,9 @@ def _parse_table_json(text: str) -> RankTable:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer of more digits than Python converts, or nesting too deep
+        raise ParseError(str(exc)) from None
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     if "rows" not in obj:
@@ -342,15 +343,9 @@ def _parse_table_json(text: str) -> RankTable:
     raw_rows = obj["rows"]
     if not isinstance(raw_rows, list):
         raise ParseError("'rows' must be an array")
-    kind: TableKind | None = None
-    if obj.get("kind") is not None:
-        try:
-            kind = TableKind[str(obj["kind"]).upper()]
-        except KeyError:
-            raise ParseError(f"unknown kind {obj['kind']!r}") from None
+    kind = _member(obj, "kind", TableKind)
+    declared = _member(obj, "ordering", Ordering)
     rows: list[RankRow] = []
-    scores: list[float] = []
-    seen: set[str] = set()
     for i, raw in enumerate(raw_rows, start=1):
         if not isinstance(raw, dict):
             raise ParseError(f"row {i}: expected an object")
@@ -358,30 +353,15 @@ def _parse_table_json(text: str) -> RankTable:
             rank, team, score = raw["rank"], raw["team"], raw["score"]
         except KeyError as exc:
             raise ParseError(f"row {i}: missing key {exc.args[0]!r}") from None
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-            raise ParseError(f"row {i}: rank must be a 1-based integer, got {rank!r}")
-        if not isinstance(team, str) or not team.strip():
-            raise ParseError(f"row {i}: team must be a non-empty string")
-        if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
-            raise ParseError(f"row {i}: score must be a finite number, got {score!r}")
-        team = team.strip()
-        if team in seen:
-            raise ParseError(f"row {i}: duplicate team {team!r}")
-        seen.add(team)
-        rows.append(RankRow(rank, team, float(score)))
-        scores.append(float(score))
-    if obj.get("ordering") is not None:
-        try:
-            ordering = Ordering[str(obj["ordering"]).upper()]
-        except KeyError:
-            raise ParseError(f"unknown ordering {obj['ordering']!r}") from None
-        ascending = ordering is Ordering.ASC_SCORE
-        for i in range(1, len(scores)):
-            if (scores[i] < scores[i - 1]) if ascending else (scores[i] > scores[i - 1]):
-                raise ParseError(f"row {i + 1}: scores violate declared ordering")
-    else:
-        ordering = _infer_ordering(scores, [None] * len(scores))
-    return RankTable(tuple(rows), ordering, kind)
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise ParseError(f"row {i}: rank must be an integer, got {rank!r}")
+        if not isinstance(team, str):
+            raise ParseError(f"row {i}: team must be a string, got {team!r}")
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise ParseError(f"row {i}: score must be a number, got {score!r}")
+        # through str, so an integer too large for a float reads as inf, as in CSV
+        rows.append(RankRow(rank, team.strip(), float(str(score))))
+    return _table(rows, declared, kind, csv_rows=False)
 
 
 def parse_table(text: str) -> RankTable:

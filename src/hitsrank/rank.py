@@ -67,20 +67,12 @@ class RankTable:
             raise TypeError(f"ordering must be an Ordering, got {type(self.ordering).__name__}")
         if self.kind is not None and not isinstance(self.kind, TableKind):
             raise TypeError(f"kind must be a TableKind or None, got {type(self.kind).__name__}")
-        positions: dict[str, int] = {}
-        for row in rows:
-            if row.rank < 1:
-                raise ValueError(f"ranks are 1-based, got {row.rank}")
-            if not row.team:
-                raise ValueError("team names must be non-empty")
-            if not math.isfinite(row.score):
-                raise ValueError(f"score must be finite, got {row.score}")
-            if row.team in positions:
-                raise ValueError(f"duplicate team in table: {row.team!r}")
-            positions[row.team] = row.rank
+        bad = _bad_row(rows)
+        if bad is not None:
+            raise ValueError(bad[2])
         # lookup cache for rank_of; not a dataclass field, so it stays out
         # of __eq__ and __repr__
-        object.__setattr__(self, "_rank_by_team", positions)
+        object.__setattr__(self, "_rank_by_team", {row.team: row.rank for row in rows})
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -90,6 +82,22 @@ class RankTable:
             return self._rank_by_team[team]
         except KeyError:
             raise KeyError(f"unknown team: {team!r}") from None
+
+
+def _bad_row(rows: Sequence[RankRow]) -> tuple[int, str, str] | None:
+    """First row that breaks a table rule, as (row index, field, message)."""
+    seen: set[str] = set()
+    for i, (rank, team, score) in enumerate(rows):
+        if rank < 1:
+            return i, "rank", f"ranks are 1-based, got {rank}"
+        if not team.strip():
+            return i, "team", "team names must be non-empty after trimming"
+        if not math.isfinite(score):
+            return i, "score", f"score must be finite, got {score}"
+        if team in seen:
+            return i, "team", f"duplicate team in table: {team!r}"
+        seen.add(team)
+    return None
 
 
 def _competition_rows(

@@ -252,6 +252,13 @@ class TestRankCommand:
         assert code == EXIT_USAGE
         code, _, _ = run(capsys, "no-such-command")
         assert code == EXIT_USAGE
+        for flag in (["--win-weight", "2"], ["--draw-weight", "1"], ["--sort-teams"]):
+            code, out, err = run(
+                capsys, "rank", "--input", LEAGUE, "--input-kind", "matrix", *flag
+            )
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "apply only to --input-kind matches" in err
 
 
 class TestPointsCommand:
@@ -404,6 +411,15 @@ class TestCompareCommand:
         code, out, err = run(capsys, "compare", str(bad), str(good))
         assert code == EXIT_PARSE
         assert str(bad) in err
+
+    def test_score_too_large_for_a_float_is_a_parse_error(self, capsys, tmp_path):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"rows": [{"rank": 1, "team": "A", "score": 1' + "0" * 400 + "}]}")
+        code, out, err = run(capsys, "compare", str(huge), str(huge))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert f"{huge}: row 1: " in err
+        assert "Traceback" not in err
 
 
 class TestEntryPoints:

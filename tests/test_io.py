@@ -481,3 +481,92 @@ class TestParseTable:
         assert str(err) == "line 3, column 2: bad value"
         assert str(ParseError("oops", line=4)) == "line 4: oops"
         assert str(ParseError("oops")) == "oops"
+
+    def test_json_integer_score_too_large_for_a_float(self):
+        doc = '{"rows": [{"rank": 1, "team": "A", "score": 1' + "0" * 400 + "}]}"
+        with pytest.raises(ParseError) as exc:
+            parse_table(doc)
+        assert str(exc.value).startswith("row 1: ")
+
+    def test_json_number_too_long_or_nesting_too_deep(self):
+        digits = '{"rows": [{"rank": 1, "team": "A", "score": 1' + "0" * 5000 + "}]}"
+        deep = '{"rows": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        for doc in (digits, deep):
+            with pytest.raises(ParseError):
+                parse_table(doc)
+
+
+# characters a team name may hold that need quoting or escaping somewhere
+NAME_CHARS = "ab, \"'\x0c"
+
+
+def random_table(rng: np.random.Generator) -> tuple[RankTable, int]:
+    """A valid table with tied scores and awkward names, plus its score decimals."""
+    n = int(rng.integers(0, 9))
+    names: set[str] = set()
+    while len(names) < n:
+        body = "".join(rng.choice(list(NAME_CHARS), size=int(rng.integers(0, 5))))
+        names.add(f"T{body}{len(names)}")
+    decimals = int(rng.integers(0, 7))
+    pool = rng.integers(-10**7, 10**7, size=3)  # few values, so scores tie
+    scores = sorted(float(k) / 10**decimals for k in rng.choice(pool, size=n))
+    ordering = Ordering.ASC_SCORE if rng.integers(0, 2) else Ordering.DESC_SCORE
+    if ordering is Ordering.DESC_SCORE:
+        scores.reverse()
+    kind = [None, *TableKind][int(rng.integers(0, 4))]
+    ranks = sorted(int(r) for r in rng.integers(1, n + 2, size=n))
+    rows = tuple(RankRow(r, name, s) for r, name, s in zip(ranks, sorted(names), scores))
+    return RankTable(rows, ordering, kind), decimals
+
+
+class TestTableRules:
+    def test_round_trip_preserves_rows(self):
+        rng = np.random.default_rng(20240611)
+        for _ in range(1000):
+            t, decimals = random_table(rng)
+            for fmt in (TableFormat.CSV, TableFormat.JSON):
+                parsed = parse_table(emit_table(t, fmt, decimals))
+                assert parsed.rows == t.rows
+                if len({row.score for row in t.rows}) > 1 or fmt is TableFormat.JSON:
+                    assert parsed.ordering is t.ordering
+            assert parse_table(emit_table(t, TableFormat.JSON)).kind is t.kind
+
+    # rows written into both formats; the broken row (0-based), its field, the message
+    BROKEN = [
+        ([(0, "A", 1.0)], 0, "rank", "ranks are 1-based, got 0"),
+        ([(1, "A", 2.0), (-3, "B", 1.0)], 1, "rank", "ranks are 1-based, got -3"),
+        ([(1, "A", 2.0), (2, "", 1.0)], 1, "team", "team names must be non-empty after trimming"),
+        ([(1, "  ", 2.0)], 0, "team", "team names must be non-empty after trimming"),
+        ([(1, "A", math.inf)], 0, "score", "score must be finite, got inf"),
+        ([(1, "A", 2.0), (2, "B", math.nan)], 1, "score", "score must be finite, got nan"),
+        ([(1, "A", 2.0), (2, "B", 1.0), (3, "A", 0.5)], 2, "team", "duplicate team in table: 'A'"),
+        ([(1, "A", 1.0), (2, "B", 5.0), (3, "C", 2.0)], 2, None, "scores are not monotone; not a rank table"),
+        ([(1, "A", 5.0), (2, "B", 5.0), (3, "C", 2.0), (4, "D", 3.0)], 3, None, "scores are not monotone; not a rank table"),
+    ]
+
+    @pytest.mark.parametrize("rows, at, field, message", BROKEN)
+    def test_csv_broken_rule_at_line_and_column(self, rows, at, field, message):
+        text = "rank,team,score\n" + "".join(f"{r},{t},{s!r}\n" for r, t, s in rows)
+        with pytest.raises(ParseError) as exc:
+            parse_table(text)
+        assert exc.value.message == message
+        assert exc.value.line == at + 2
+        assert exc.value.column == (None if field is None else ["rank", "team", "score"].index(field) + 1)
+
+    @pytest.mark.parametrize("rows, at, field, message", BROKEN)
+    def test_json_broken_rule_at_row(self, rows, at, field, message):
+        doc = json.dumps({"rows": [{"rank": r, "team": t, "score": s} for r, t, s in rows]})
+        with pytest.raises(ParseError) as exc:
+            parse_table(doc)
+        assert str(exc.value) == f"row {at + 1}: {message}"
+        assert exc.value.line is None
+
+    @pytest.mark.parametrize(
+        "ordering, scores, at",
+        [("asc_score", [5, 1], 1), ("desc_score", [1, 1, 2], 2), ("desc_score", [3, 2, 2, 2.5], 3)],
+    )
+    def test_json_declared_ordering_broken_at_row(self, ordering, scores, at):
+        rows = [{"rank": i + 1, "team": f"T{i}", "score": s} for i, s in enumerate(scores)]
+        with pytest.raises(ParseError) as exc:
+            parse_table(json.dumps({"ordering": ordering, "rows": rows}))
+        assert str(exc.value) == f"row {at + 1}: scores violate declared ordering"

@@ -14,6 +14,7 @@ from hitsrank import (
     RankRow,
     RankTable,
     TableKind,
+    TeamIndex,
     VectorKind,
     WeightVector,
     build_adjacency,
@@ -62,6 +63,14 @@ class TestRankTable:
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError):
             RankTable((RankRow(1, "A", math.inf),), Ordering.DESC_SCORE, TableKind.POINTS)
+
+    @pytest.mark.parametrize("team", ["", "  ", "\t"])
+    def test_blank_team_rejected(self, team):
+        # the same rule, and message, as TeamIndex
+        with pytest.raises(ValueError, match="team names must be non-empty after trimming"):
+            RankTable((RankRow(1, team, 1.0),), Ordering.DESC_SCORE, None)
+        with pytest.raises(ValueError, match="team names must be non-empty after trimming"):
+            TeamIndex((team,))
 
     def test_unknown_team_lookup(self):
         t = table_from_scores({"A": 1.0}, Ordering.DESC_SCORE)
