@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-from hitsrank.graph import AdjacencyMatrix, MatchRecord, build_adjacency, sort_teams
+from hitsrank.graph import AdjacencyMatrix, MatchRecord, _checked, build_adjacency, sort_teams
 from hitsrank.hits import DegenerateInputError, HitsResult, SolverConfig, hits
 from hitsrank.io import (
     ParseError,
@@ -53,25 +52,19 @@ class CliError(Exception):
     exit_code: int = EXIT_USAGE
 
 
-def _number(kind: type, minimum: int, strict: bool) -> Callable[[str], float]:
-    """argparse type for an int or float above ``minimum`` (strict) or at least it.
-
-    Floats must also be finite.
-    """
-    noun = "a number" if kind is float else "an integer"
-    bound = ("positive" if strict else "nonnegative") if minimum == 0 else f"at least {minimum}"
-    requirement = f"a {bound} finite number" if kind is float else bound
+def _number(kind: type, name: str, minimum: int, strict: bool = False) -> Callable[[str], float]:
+    """argparse type: ``kind`` (int or float) of the text, checked as the parameter ``name``."""
 
     def parse(text: str) -> float:
         try:
             value = kind(text)
         except ValueError:
+            noun = "a number" if kind is float else "an integer"
             raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
-        if (kind is float and not math.isfinite(value)) or not (
-            value > minimum if strict else value >= minimum
-        ):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
-        return value
+        try:
+            return _checked(name, value, minimum, strict, integer=kind is int)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -85,7 +78,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--decimals",
-        type=_number(int, 0, strict=False),
+        type=_number(int, "decimals", 0),
         default=3,
         metavar="N",
         help="score decimals in text/csv output (default 3; json keeps full precision)",
@@ -103,7 +96,7 @@ def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--win-weight",
         action=_MatchOnly,
-        type=_number(float, 0, strict=False),
+        type=_number(float, "win_weight", 0),
         default=3.0,
         metavar="W",
         help="points a win hands the winner (default 3)",
@@ -111,7 +104,7 @@ def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--draw-weight",
         action=_MatchOnly,
-        type=_number(float, 0, strict=False),
+        type=_number(float, "draw_weight", 0),
         default=1.0,
         metavar="W",
         help="points a draw hands each side (default 1)",
@@ -170,14 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rank.add_argument(
         "--tol",
-        type=_number(float, 0, strict=True),
+        type=_number(float, "tolerance", 0, strict=True),
         default=1e-12,
         metavar="T",
         help="convergence tolerance on successive-iterate change (default 1e-12)",
     )
     rank.add_argument(
         "--max-iters",
-        type=_number(int, 1, strict=False),
+        type=_number(int, "max_iterations", 1),
         default=10000,
         metavar="N",
         help="iteration cap (default 10000)",

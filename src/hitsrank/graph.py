@@ -11,11 +11,55 @@ equal to the points the column's team earned from the encoded matches.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
+
+
+def _checked(
+    name: str, value: object, minimum: float | None = None, strict: bool = False, integer: bool = False
+) -> float | int:
+    """The number rule of every scalar parameter: ``value`` as a float (an int if ``integer``).
+
+    TypeError unless ``value`` is a ``numbers.Real`` (``numbers.Integral`` if ``integer``) and no bool;
+    ValueError unless it is finite as a float and at least ``minimum`` (above it if ``strict``).
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        kind = "an integer" if integer else "a real number"
+        raise TypeError(f"{name} must be {kind}, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range; math.copysign would overflow too
+        number = value = math.inf if value > 0 else -math.inf
+    bound = "" if minimum is None else f" and {'>' if strict else '>='} {minimum}"
+    if not math.isfinite(number) or (bound and (number <= minimum if strict else number < minimum)):
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
+    return int(value) if integer else number
+
+
+def _bad_name(name: str) -> str | None:
+    """Why a team name is refused, or None. A line break would split a record of the files."""
+    if not name.strip():
+        return "team names must be non-empty after trimming"
+    if "\n" in name or "\r" in name:
+        return f"team names must not hold a line break, got {name!r}"
+    return None
+
+
+def _bad_entry(w: npt.NDArray[np.float64]) -> tuple[int, int, str] | None:
+    """First entry in row-major order that breaks a matrix rule, as (row, column, message)."""
+    bad = ~((w >= 0.0) & (w < math.inf))
+    np.fill_diagonal(bad, bad.diagonal() | (w.diagonal() != 0.0))
+    if not bad.any():
+        return None
+    r, c = divmod(int(np.argmax(bad)), len(w))
+    value = float(w[r, c])
+    rule = "finite" if not math.isfinite(value) else "nonnegative" if value < 0.0 else "zero on the diagonal"
+    return r, c, f"matrix entries must be {rule}, got {value}"
 
 
 class Outcome(enum.Enum):
@@ -42,8 +86,8 @@ class MatchRecord:
     def __post_init__(self) -> None:
         object.__setattr__(self, "team_a", str(self.team_a).strip())
         object.__setattr__(self, "team_b", str(self.team_b).strip())
-        if not self.team_a or not self.team_b:
-            raise ValueError("team names must be non-empty after trimming")
+        if problem := _bad_name(self.team_a) or _bad_name(self.team_b):
+            raise ValueError(problem)
         if self.team_a == self.team_b:
             raise ValueError(f"a team cannot play itself: {self.team_a!r}")
         if not isinstance(self.outcome, Outcome):
@@ -52,10 +96,7 @@ class MatchRecord:
 
 @dataclass(frozen=True)
 class TeamIndex:
-    """Bijection between team names and dense matrix indices 0..n-1.
-
-    Names must be unique and non-blank.
-    """
+    """Bijection between team names (unique, non-blank, no line break) and dense indices 0..n-1."""
 
     names: tuple[str, ...]
     _pos: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -65,8 +106,8 @@ class TeamIndex:
         object.__setattr__(self, "names", names)
         pos: dict[str, int] = {}
         for i, name in enumerate(names):
-            if not name.strip():
-                raise ValueError("team names must be non-empty after trimming")
+            if problem := _bad_name(name):
+                raise ValueError(problem)
             if name in pos:
                 raise ValueError(f"duplicate team name: {name!r}")
             pos[name] = i
@@ -90,7 +131,7 @@ class TeamIndex:
 
 @dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
-    """Square nonnegative weight matrix over a TeamIndex.
+    """Square weight matrix over a TeamIndex, its entries finite and nonnegative.
 
     Entry (i, j) holds the points team i has conceded toward team j.
     The diagonal is identically zero since a team never plays itself.
@@ -111,12 +152,8 @@ class AdjacencyMatrix:
             w = w.reshape((0, 0))
         if w.shape != (n, n):
             raise ValueError(f"matrix shape {w.shape} does not match {n} teams")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("matrix entries must be finite")
-        if w.size and float(np.min(w)) < 0.0:
-            raise ValueError("matrix entries must be nonnegative")
-        if w.size and np.any(np.diagonal(w) != 0.0):
-            raise ValueError("diagonal entries must be zero")
+        if bad := _bad_entry(w):
+            raise ValueError(bad[2])
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -173,20 +210,16 @@ def build_adjacency(
 
     Args:
         matches: match records; an empty iterable yields a 0x0 matrix.
-        win_weight: points granted to the winner, must be nonnegative.
-        draw_weight: points granted to both sides of a draw, must be
-            nonnegative.
+        win_weight: points granted to the winner.
+        draw_weight: points granted to both sides of a draw.
 
     Raises:
-        ValueError: if a weight is negative or not finite.
-        TypeError: if an element of ``matches`` is not a MatchRecord.
+        TypeError: if a weight is not a real number (``numbers.Real``, not
+            a bool), or an element of ``matches`` is not a MatchRecord.
+        ValueError: if a weight is negative or not finite as a float.
     """
-    win_weight = float(win_weight)
-    draw_weight = float(draw_weight)
-    if not (np.isfinite(win_weight) and win_weight >= 0.0):
-        raise ValueError(f"win_weight must be nonnegative and finite, got {win_weight}")
-    if not (np.isfinite(draw_weight) and draw_weight >= 0.0):
-        raise ValueError(f"draw_weight must be nonnegative and finite, got {draw_weight}")
+    win_weight = _checked("win_weight", win_weight, 0)
+    draw_weight = _checked("draw_weight", draw_weight, 0)
 
     index, winner, loser, drawn = _encode(matches)
     n = len(index)
@@ -213,8 +246,8 @@ def from_named_matrix(names: Sequence[str], values: npt.ArrayLike) -> AdjacencyM
     this library; nothing is derived or rescaled.
 
     Raises:
-        ValueError: on duplicate or empty names, a dimension mismatch,
-            a negative entry, or a nonzero diagonal entry.
+        ValueError: on duplicate, blank or multi-line names, a dimension
+            mismatch, or a broken entry (see ``AdjacencyMatrix``).
     """
     return AdjacencyMatrix(TeamIndex(tuple(str(name).strip() for name in names)), values)
 
@@ -226,6 +259,4 @@ def sort_teams(m: AdjacencyMatrix) -> AdjacencyMatrix:
     """
     order = sorted(range(len(m.index)), key=lambda i: m.index.names[i])
     names = tuple(m.index.names[i] for i in order)
-    if not order:
-        return AdjacencyMatrix(TeamIndex(names), m.w)
     return AdjacencyMatrix(TeamIndex(names), m.w[np.ix_(order, order)])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from hitsrank.graph import AdjacencyMatrix
+from hitsrank.graph import AdjacencyMatrix, _checked
 
 # Contraction slower than this per sweep at the iteration cap is treated
 # as a stalled (near-degenerate) principal eigenspace.
@@ -45,23 +45,20 @@ class SolverConfig:
     ``tolerance`` is the L2 change between successive normalized vectors
     below which the iteration is considered converged; the authority and
     hub sequences must both clear it on the same sweep.
+
+    Raises:
+        TypeError: unless ``tolerance`` is a real number (``numbers.Real``)
+            and ``max_iterations`` an integer (``numbers.Integral``), neither a bool.
+        ValueError: unless ``tolerance`` > 0 and ``max_iterations`` >= 1, both finite.
     """
 
     tolerance: float = 1e-12
     max_iterations: int = 10000
 
     def __post_init__(self) -> None:
-        tol = self.tolerance
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool):
-            raise TypeError(f"tolerance must be a real number, got {type(tol).__name__}")
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"tolerance must be positive and finite, got {tol}")
-        iters = self.max_iterations
-        if not isinstance(iters, int) or isinstance(iters, bool):
-            raise TypeError(f"max_iterations must be an integer, got {type(iters).__name__}")
-        if iters < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {iters}")
-        object.__setattr__(self, "tolerance", float(tol))
+        object.__setattr__(self, "tolerance", _checked("tolerance", self.tolerance, 0, strict=True))
+        iterations = _checked("max_iterations", self.max_iterations, 1, integer=True)
+        object.__setattr__(self, "max_iterations", iterations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +126,8 @@ class HitsResult:
         if len(self.authority) != len(self.hub):
             raise ValueError("authority and hub vectors differ in length")
         for name in ("authority_eigenvalue", "hub_eigenvalue"):
-            lam = getattr(self, name)
-            if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0.0):
-                raise ValueError(f"{name} must be a nonnegative finite real, got {lam}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
+            _checked(name, getattr(self, name), 0)
+        _checked("iterations", self.iterations, 1, integer=True)
         if self.converged:
             lam_max = max(self.authority_eigenvalue, self.hub_eigenvalue)
             if abs(self.authority_eigenvalue - self.hub_eigenvalue) > 1e-9 * lam_max:

@@ -1,20 +1,10 @@
-"""Parsing of match and matrix files, serialization of tables and reports.
+"""Parsing of match, matrix and rank table files, serialization of tables and reports.
 
-File formats (strict schemas, no extra columns):
-
-* matches CSV: header ``home,away,outcome`` then one row per fixture
-  with outcome H (home win), A (away win) or D (draw).
-* matrix CSV: first line holds the team names; each following line is a
-  team name plus one weight per team, rows in header order.
-* rank table CSV: header ``rank,team,score``.
-
-Files are UTF-8 with an optional leading BOM. LF, CRLF or CR end a
-line and nothing else does, so a form feed or U+2028 inside a field
-stays in it; a trailing newline is optional. Each record is one line,
-fields are trimmed, and a name holding a comma is quoted ("Alpha, FC").
-Every parse failure raises ParseError carrying a 1-based line (and
-column where it is known); parsers never raise anything else on
-malformed text.
+README "File formats" gives the schemas and rules. Files are UTF-8 with
+an optional leading BOM; LF, CRLF or CR end a line and nothing else
+does; each record is one line, with trimmed fields. Every parse failure
+raises ParseError carrying a 1-based line (and column where it is
+known); parsers never raise anything else on malformed text.
 """
 
 from __future__ import annotations
@@ -26,7 +16,9 @@ import math
 from io import StringIO
 from typing import Any, Iterator
 
-from hitsrank.graph import AdjacencyMatrix, MatchRecord, Outcome, TeamIndex, from_named_matrix
+import numpy as np
+
+from hitsrank.graph import AdjacencyMatrix, MatchRecord, Outcome, TeamIndex, _bad_entry, _checked
 from hitsrank.rank import ComparisonReport, Ordering, RankRow, RankTable, TableKind, _bad_row
 
 _OUTCOME_BY_CODE = {"H": Outcome.A_WINS, "A": Outcome.B_WINS, "D": Outcome.DRAW}
@@ -103,55 +95,40 @@ def parse_matches(text: str) -> list[MatchRecord]:
 
 def parse_matrix(text: str) -> AdjacencyMatrix:
     """Parse a matrix CSV whose row order matches its header order."""
-    lines = _lines(text)
-    if not lines:
-        return from_named_matrix((), [])
+    lines = _lines(text) or [""]
     try:
-        names = TeamIndex(tuple(_fields(lines[0]))).names
+        index = TeamIndex(tuple(_fields(lines[0])))
     except ValueError as exc:
         raise ParseError(str(exc), line=1) from None
-    n = len(names)
-    data_lines = lines[1:]
-    if len(data_lines) < n:
-        raise ParseError(f"expected {n} matrix rows, found {len(data_lines)}", line=len(lines) + 1)
-    if len(data_lines) > n:
-        raise ParseError(f"expected {n} matrix rows, found {len(data_lines)}", line=n + 2)
-    values = [[0.0] * n for _ in range(n)]
-    for r, line in enumerate(data_lines):
-        line_no = r + 2
+    n, found = len(index), len(lines) - 1
+    if found != n:
+        raise ParseError(f"expected {n} matrix rows, found {found}", line=min(found, n) + 2)
+    w = np.empty((n, n))
+    for r, line in enumerate(lines[1:]):
         fields = _fields(line)
         if len(fields) != n + 1:
-            raise ParseError(
-                f"expected {n + 1} fields (team name plus {n} entries), got {len(fields)}",
-                line=line_no,
-            )
-        if fields[0] != names[r]:
-            raise ParseError(
-                f"row {r + 1} is {fields[0]!r}, expected {names[r]!r} "
-                "(rows must follow header order)",
-                line=line_no,
-                column=1,
-            )
-        for c, field in enumerate(fields[1:]):
-            column = c + 2
+            message = f"expected {n + 1} fields (team name plus {n} entries), got {len(fields)}"
+            raise ParseError(message, line=r + 2)
+        if fields[0] != index.names[r]:
+            message = f"row {r + 1} is {fields[0]!r}, expected {index.names[r]!r}"
+            raise ParseError(message + " (rows must follow header order)", line=r + 2, column=1)
+        row = fields[1:]
+        for c, field in enumerate(row):
             try:
-                value = float(field)
+                row[c] = float(field)
             except ValueError:
-                raise ParseError(f"not a number: {field!r}", line=line_no, column=column) from None
-            if not math.isfinite(value):
-                raise ParseError(f"entry must be finite, got {field!r}", line=line_no, column=column)
-            if value < 0.0:
-                raise ParseError(f"negative entry {field!r}", line=line_no, column=column)
-            if c == r and value != 0.0:
-                raise ParseError(f"diagonal entry must be 0, got {field!r}", line=line_no, column=column)
-            values[r][c] = value
-    return from_named_matrix(names, values)
+                raise ParseError(f"not a number: {field!r}", line=r + 2, column=c + 2) from None
+        w[r] = row
+    if bad := _bad_entry(w):
+        raise ParseError(bad[2], line=bad[0] + 2, column=bad[1] + 2)
+    return AdjacencyMatrix(index, w)
 
 
 def _check_decimals(decimals: int) -> int:
-    if not isinstance(decimals, int) or isinstance(decimals, bool) or decimals < 0:
-        raise ValueError(f"decimals must be a nonnegative integer, got {decimals!r}")
-    return decimals
+    try:
+        return _checked("decimals", decimals, 0, integer=True)
+    except TypeError as exc:  # emitters raise ValueError for every bad value, bool included
+        raise ValueError(str(exc)) from None
 
 
 def _format_score(score: float, kind: TableKind | None, decimals: int) -> str:
@@ -285,8 +262,7 @@ def _table(rows: list[RankRow], declared: Ordering | None, kind: TableKind | Non
         column = _TABLE_HEADER.index(field) + 1 if field else None
         return ParseError(message, line=i + 2, column=column)
 
-    bad = _bad_row(rows)
-    if bad is not None:
+    if bad := _bad_row(rows):
         raise error(*bad)
     # the declared ordering, else the one the first score change sets
     ordering = declared

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from hitsrank.graph import MatchRecord, TeamIndex, _encode
+from hitsrank.graph import MatchRecord, TeamIndex, _bad_name, _checked, _encode
 from hitsrank.hits import VectorKind, WeightVector
 
 
@@ -67,8 +67,7 @@ class RankTable:
             raise TypeError(f"ordering must be an Ordering, got {type(self.ordering).__name__}")
         if self.kind is not None and not isinstance(self.kind, TableKind):
             raise TypeError(f"kind must be a TableKind or None, got {type(self.kind).__name__}")
-        bad = _bad_row(rows)
-        if bad is not None:
+        if bad := _bad_row(rows):
             raise ValueError(bad[2])
         # lookup cache for rank_of; not a dataclass field, so it stays out
         # of __eq__ and __repr__
@@ -90,8 +89,8 @@ def _bad_row(rows: Sequence[RankRow]) -> tuple[int, str, str] | None:
     for i, (rank, team, score) in enumerate(rows):
         if rank < 1:
             return i, "rank", f"ranks are 1-based, got {rank}"
-        if not team.strip():
-            return i, "team", "team names must be non-empty after trimming"
+        if problem := _bad_name(team):
+            return i, "team", problem
         if not math.isfinite(score):
             return i, "score", f"score must be finite, got {score}"
         if team in seen:
@@ -157,12 +156,15 @@ def points_table(
 ) -> RankTable:
     """Conventional standings: win_points per win plus draw_points per draw.
 
-    Losses score nothing. Sorted descending with competition ranks.
+    Losses score nothing and points may be negative; sorted descending with competition ranks.
+
+    Raises:
+        TypeError: if a points value is not a real number (``numbers.Real``,
+            not a bool), or an element of ``matches`` is not a MatchRecord.
+        ValueError: if a points value is not finite as a float.
     """
-    win_points = float(win_points)
-    draw_points = float(draw_points)
-    if not math.isfinite(win_points) or not math.isfinite(draw_points):
-        raise ValueError("points parameters must be finite")
+    win_points = _checked("win_points", win_points)
+    draw_points = _checked("draw_points", draw_points)
     index, winner, loser, drawn = _encode(matches)
     n = len(index)
     wins = np.bincount(winner[~drawn], minlength=n)

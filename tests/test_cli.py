@@ -14,6 +14,7 @@ from hitsrank.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -261,6 +262,49 @@ class TestRankCommand:
             assert "apply only to --input-kind matches" in err
 
 
+# flag, text, the value parsed, or the error argparse reports (exit 2)
+FLAG_CASES = [
+    ("--tol", "1e400", "tolerance must be finite and > 0, got inf"),
+    ("--tol", "1_0", 10.0),
+    ("--tol", "-0.0", "tolerance must be finite and > 0, got -0.0"),
+    ("--tol", "nan", "tolerance must be finite and > 0, got nan"),
+    ("--tol", "x", "not a number: 'x'"),
+    ("--max-iters", "1e400", "not an integer: '1e400'"),
+    ("--max-iters", "1_0", 10),
+    ("--max-iters", "-0.0", "not an integer: '-0.0'"),
+    ("--max-iters", "nan", "not an integer: 'nan'"),
+    ("--max-iters", "0", "max_iterations must be finite and >= 1, got 0"),
+    ("--max-iters", "9" * 5000, "not an integer: '999"),
+    ("--max-iters", "9" * 400, "max_iterations must be finite and >= 1, got inf"),
+    ("--win-weight", "1e400", "win_weight must be finite and >= 0, got inf"),
+    ("--win-weight", "1_0", 10.0),
+    ("--win-weight", "-0.0", -0.0),
+    ("--win-weight", "nan", "win_weight must be finite and >= 0, got nan"),
+    ("--draw-weight", "-1", "draw_weight must be finite and >= 0, got -1.0"),
+    ("--decimals", "1e400", "not an integer: '1e400'"),
+    ("--decimals", "1_0", 10),
+    ("--decimals", "-0.0", "not an integer: '-0.0'"),
+    ("--decimals", "nan", "not an integer: 'nan'"),
+    ("--decimals", "1.5", "not an integer: '1.5'"),
+]
+
+
+class TestNumberFlags:
+    @pytest.mark.parametrize(
+        "flag, text, expected", FLAG_CASES, ids=[f"{flag}={text[:10]}" for flag, text, _ in FLAG_CASES]
+    )
+    def test_case_table(self, capsys, flag, text, expected):
+        argv = ["rank", "--input", MINI, "--input-kind", "matches", flag, text]
+        if isinstance(expected, str):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == EXIT_USAGE
+            assert f"argument {flag}: {expected}" in capsys.readouterr().err
+        else:
+            value = getattr(build_parser().parse_args(argv), flag[2:].replace("-", "_"))
+            assert value == expected and type(value) is type(expected)
+
+
 class TestPointsCommand:
     def test_mini_league_csv(self, capsys):
         code, out, _ = run(capsys, "points", "--input", MINI, "--format", "csv")
@@ -420,6 +464,14 @@ class TestCompareCommand:
         assert out == ""
         assert f"{huge}: row 1: " in err
         assert "Traceback" not in err
+
+    def test_team_with_line_break_is_a_parse_error(self, capsys, tmp_path):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"rows": [{"rank": 1, "team": "A\nB", "score": 1.0}]}))
+        code, out, err = run(capsys, "compare", str(table), str(table))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert f"{table}: row 1: team names must not hold a line break" in err
 
 
 class TestEntryPoints:

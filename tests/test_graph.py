@@ -1,5 +1,7 @@
 """Adjacency construction, transposition and named-matrix ingestion."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import FOUR_TEAM, MINI_MATRIX, mini_matches, random_matches
@@ -7,10 +9,17 @@ from conftest import FOUR_TEAM, MINI_MATRIX, mini_matches, random_matches
 from hitsrank import (
     AdjacencyMatrix,
     MatchRecord,
+    Ordering,
     Outcome,
+    RankRow,
+    RankTable,
+    SolverConfig,
+    TableFormat,
     TeamIndex,
     build_adjacency,
+    emit_table,
     from_named_matrix,
+    points_table,
     sort_teams,
     transpose,
 )
@@ -39,6 +48,12 @@ class TestMatchRecord:
         with pytest.raises(TypeError):
             MatchRecord("Leeds", "York", "H")
 
+    def test_line_break_in_name_rejected(self):
+        with pytest.raises(ValueError, match="line break"):
+            MatchRecord("A\rB", "C", Outcome.DRAW)
+        # surrounding line breaks are trimmed like any other whitespace
+        assert MatchRecord("A\n", "\rC", Outcome.DRAW).team_a == "A"
+
 
 class TestTeamIndex:
     def test_round_trip(self):
@@ -53,6 +68,13 @@ class TestTeamIndex:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             TeamIndex(("A", "B", "A"))
+
+    def test_line_break_in_name_rejected(self):
+        # no emitter can write such a name as one record
+        with pytest.raises(ValueError, match="line break"):
+            TeamIndex(("A\nB",))
+        with pytest.raises(ValueError, match="line break"):
+            from_named_matrix(["A\nB", "C"], [[0, 1], [2, 0]])
 
     def test_unknown_name(self):
         idx = TeamIndex(("A", "B"))
@@ -320,3 +342,82 @@ class TestSortTeams:
 
     def test_empty(self):
         assert sort_teams(build_adjacency([])).n == 0
+
+
+WIN = MatchRecord("A", "B", Outcome.A_WINS)
+DRAW = MatchRecord("A", "B", Outcome.DRAW)
+ONE_ROW = RankTable((RankRow(1, "A", 1.0),), Ordering.DESC_SCORE, None)
+
+
+def score_of(table: RankTable, team: str) -> float:
+    return {row.team: row.score for row in table.rows}[team]
+
+
+def decimals_shown(decimals: object) -> int:
+    """Digits after the point of ONE_ROW's score in CSV."""
+    return len(emit_table(ONE_ROW, TableFormat.CSV, decimals=decimals).split(",")[-1].strip().partition(".")[2])
+
+
+# the number rule (graph._checked) as each scalar parameter applies it:
+# the value each call reads back, or the exception class it raises
+NUMBERS = {
+    "0": 0, "-0.0": -0.0, "1e-300": 1e-300, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+    "True": True, "2.5": 2.5, "-1": -1, "10**400": 10**400, "int64": np.int64(5),
+    "float32": np.float32(1e-6), "str": "3",
+}
+OK, V, T = "ok", ValueError, TypeError
+NUMBER_RULE = {
+    "tolerance": (
+        lambda v: SolverConfig(tolerance=v).tolerance,
+        [V, V, OK, V, V, V, T, OK, V, V, OK, OK, T],
+    ),
+    "max_iterations": (
+        lambda v: SolverConfig(max_iterations=v).max_iterations,
+        [V, T, T, T, T, T, T, T, V, V, OK, T, T],
+    ),
+    "win_weight": (
+        lambda v: build_adjacency([WIN], win_weight=v).w[1, 0],
+        [OK, OK, OK, V, V, V, T, OK, V, V, OK, OK, T],
+    ),
+    "draw_weight": (
+        lambda v: build_adjacency([DRAW], draw_weight=v).w[0, 1],
+        [OK, OK, OK, V, V, V, T, OK, V, V, OK, OK, T],
+    ),
+    "win_points": (
+        lambda v: score_of(points_table([WIN], win_points=v), "A"),
+        [OK, OK, OK, V, V, V, T, OK, OK, V, OK, OK, T],
+    ),
+    "draw_points": (
+        lambda v: score_of(points_table([DRAW], draw_points=v), "A"),
+        [OK, OK, OK, V, V, V, T, OK, OK, V, OK, OK, T],
+    ),
+    # emitters raise ValueError for every bad value
+    "decimals": (decimals_shown, [OK, V, V, V, V, V, V, V, V, V, OK, V, V]),
+}
+NUMBER_CASES = [
+    pytest.param(call, value, outcome, id=f"{name}={label}")
+    for name, (call, outcomes) in NUMBER_RULE.items()
+    for (label, value), outcome in zip(NUMBERS.items(), outcomes, strict=True)
+]
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("call, value, outcome", NUMBER_CASES)
+    def test_case_table(self, call, value, outcome):
+        if outcome is OK:
+            assert call(value) == float(value)
+        else:
+            with pytest.raises(outcome):
+                call(value)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        cfg = SolverConfig(tolerance=np.float32(1e-6), max_iterations=np.int64(5))
+        assert type(cfg.tolerance) is float and cfg.tolerance == float(np.float32(1e-6))
+        assert type(cfg.max_iterations) is int and cfg.max_iterations == 5
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"])
+    def test_int_too_large_for_a_float_is_a_value_error(self, big):
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0, got -?inf"):
+            SolverConfig(tolerance=big)
+        with pytest.raises(ValueError, match="max_iterations must be finite and >= 1, got -?inf"):
+            SolverConfig(max_iterations=big)

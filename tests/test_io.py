@@ -8,6 +8,7 @@ import pytest
 from conftest import DATA_DIR, mini_matches, random_matches
 
 from hitsrank import (
+    AdjacencyMatrix,
     MatchRecord,
     Ordering,
     Outcome,
@@ -25,6 +26,7 @@ from hitsrank import (
     parse_matrix,
     parse_table,
     points_table,
+    TeamIndex,
     table_object,
 )
 
@@ -221,6 +223,62 @@ class TestParseMatrix:
             parsed = parse_matrix(emit_matrix(m))
             assert parsed.index.names == m.index.names
             assert np.array_equal(parsed.w, m.w)
+
+
+def matrix_text(names: list[str], cells: list[list[str]]) -> str:
+    return ",".join(names) + "\n" + "".join(f"{name},{','.join(row)}\n" for name, row in zip(names, cells))
+
+
+def broken_cell(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+class TestMatrixEntryRule:
+    def test_first_broken_cell_in_row_major_order(self):
+        # 1,000 seeded matrices with one or two broken cells: text that is no
+        # number is found first, in row-major order; otherwise the first cell
+        # breaking a rule is reported with AdjacencyMatrix's own message
+        rng = np.random.default_rng(83)
+        breaks = ["nan", "inf", "-inf", "-1.5", "-2", "x", "diagonal"]
+        for _ in range(1000):
+            n = int(rng.integers(1, 7))
+            names = [f"T{i}" for i in range(n)]
+            values = rng.integers(0, 5, size=(n, n)) / 2.0
+            np.fill_diagonal(values, 0.0)
+            cells = [[f"{v:g}" for v in row] for row in values]
+            for _ in range(int(rng.integers(1, 3))):
+                r, c = (int(i) for i in rng.integers(0, n, size=2))
+                kind = breaks[int(rng.integers(len(breaks)))]
+                if kind == "diagonal":
+                    cells[r][r] = "2.5"
+                else:
+                    cells[r][c] = kind
+            with pytest.raises(ParseError) as exc:
+                parse_matrix(matrix_text(names, cells))
+            order = [(r, c) for r in range(n) for c in range(n)]
+            texts = [(r, c) for r, c in order if broken_cell(cells[r][c])]
+            if texts:
+                r, c = texts[0]
+                assert exc.value.message == f"not a number: {cells[r][c]!r}"
+            else:
+                w = np.array([[float(cell) for cell in row] for row in cells])
+                r, c = next(
+                    (r, c) for r, c in order
+                    if not (math.isfinite(w[r, c]) and w[r, c] >= 0.0 and (r != c or w[r, c] == 0.0))
+                )
+                with pytest.raises(ValueError) as ref:
+                    AdjacencyMatrix(TeamIndex(tuple(names)), w)
+                assert exc.value.message == str(ref.value)
+            assert (exc.value.line, exc.value.column) == (r + 2, c + 2)
+
+    def test_format_error_on_a_later_row_comes_first(self):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("A,B\nA,0,-1\nB,x,0\n")
+        assert (exc.value.line, exc.value.column, exc.value.message) == (3, 2, "not a number: 'x'")
 
 
 class TestEmitMatrix:

@@ -72,6 +72,19 @@ class TestRankTable:
         with pytest.raises(ValueError, match="team names must be non-empty after trimming"):
             TeamIndex((team,))
 
+    @pytest.mark.parametrize("team", ["A\nB", "A\rB", "A\r\nB"])
+    def test_team_with_line_break_rejected(self, team):
+        # a line break would split the team's record in every emitted file
+        message = "team names must not hold a line break"
+        with pytest.raises(ValueError, match=message):
+            RankTable((RankRow(1, team, 1.0),), Ordering.DESC_SCORE, None)
+        with pytest.raises(ValueError, match=message):
+            TeamIndex((team,))
+        with pytest.raises(ValueError, match=message):
+            MatchRecord(team, "C", Outcome.DRAW)
+        with pytest.raises(ValueError, match=message):
+            MatchRecord("C", team, Outcome.DRAW)
+
     def test_unknown_team_lookup(self):
         t = table_from_scores({"A": 1.0}, Ordering.DESC_SCORE)
         with pytest.raises(KeyError, match="unknown team: 'Z'"):
