@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_number(float, "tolerance", 0, strict=True),
         default=1e-12,
         metavar="T",
-        help="convergence tolerance on successive-iterate change (default 1e-12)",
+        help="convergence tolerance on the successive change and the relative residual (default 1e-12)",
     )
     rank.add_argument(
         "--max-iters",

@@ -20,9 +20,10 @@ import numpy.typing as npt
 
 from hitsrank.graph import AdjacencyMatrix, _checked
 
-# Contraction slower than this per sweep at the iteration cap is treated
-# as a stalled (near-degenerate) principal eigenspace.
-_STALL_RATIO = 0.999
+# Sweeps run before the solver judges whether power iteration will finish soon.
+_WARMUP = 50
+# Top eigenvalues of A^T A within this relative gap of the largest count as tied.
+_TIE_GAP = 1e-10
 
 
 class VectorKind(enum.Enum):
@@ -42,9 +43,10 @@ class DegenerateGraphError(DegenerateInputError):
 class SolverConfig:
     """Iteration controls.
 
-    ``tolerance`` is the L2 change between successive normalized vectors
-    below which the iteration is considered converged; the authority and
-    hub sequences must both clear it on the same sweep.
+    ``tolerance`` bounds the L2 change between successive normalized
+    vectors, which the authority and hub sequences must both clear on the
+    same sweep, and the relative residual ||A^T A a - lambda a|| / lambda
+    of the authority vector.
 
     Raises:
         TypeError: unless ``tolerance`` is a real number (``numbers.Real``)
@@ -102,12 +104,14 @@ class HitsResult:
     ``authority_eigenvalue`` and ``hub_eigenvalue`` are the Rayleigh
     quotients of the returned vectors on their Gram matrices; both
     estimate the squared top singular value of the adjacency matrix and
-    agree to high relative accuracy whenever the run converged (the
-    agreement check is skipped for best-effort results returned at the
-    iteration cap). ``stalled`` marks capped runs whose successive
-    change had stopped contracting while the eigenvalue estimate was
-    already stable, the signature of a (near-)degenerate principal
-    eigenspace.
+    agree to a relative 1e-9 whenever the run converged (the agreement
+    check is skipped for best-effort results returned at the iteration
+    cap). One beyond the float range reads ``inf`` (or 0 below it).
+    ``stalled`` marks a tied top eigenvalue: the dense eigensolve found
+    more than one eigenvalue of A^T A within a relative 1e-10 of the
+    largest, so the principal eigenvector is not unique and the weights
+    follow the convention that ``hits`` documents. A tie that the sweeps
+    settle before the eigensolve would run is not flagged.
     """
 
     authority: WeightVector
@@ -126,15 +130,45 @@ class HitsResult:
         if len(self.authority) != len(self.hub):
             raise ValueError("authority and hub vectors differ in length")
         for name in ("authority_eigenvalue", "hub_eigenvalue"):
-            _checked(name, getattr(self, name), 0)
+            if getattr(self, name) != math.inf:
+                _checked(name, getattr(self, name), 0)
         _checked("iterations", self.iterations, 1, integer=True)
-        if self.converged:
-            lam_max = max(self.authority_eigenvalue, self.hub_eigenvalue)
-            if abs(self.authority_eigenvalue - self.hub_eigenvalue) > 1e-9 * lam_max:
-                raise ValueError(
-                    "authority and hub eigenvalue estimates disagree: "
-                    f"{self.authority_eigenvalue!r} vs {self.hub_eigenvalue!r}"
-                )
+        if self.converged and _disagree(self.authority_eigenvalue, self.hub_eigenvalue):
+            raise ValueError(
+                "authority and hub eigenvalue estimates disagree: "
+                f"{self.authority_eigenvalue!r} vs {self.hub_eigenvalue!r}"
+            )
+
+
+def _disagree(lam_a: float, lam_h: float) -> bool:
+    """Whether two eigenvalue estimates differ by more than a relative 1e-9."""
+    return abs(lam_a - lam_h) > 1e-9 * max(lam_a, lam_h)
+
+
+def _norm(x: npt.NDArray[np.float64]) -> float:
+    """np.linalg.norm of a real vector, by its own formula, without its per-call overhead."""
+    return math.sqrt(x.dot(x))
+
+
+def _rayleigh(
+    w: npt.NDArray[np.float64],
+    a: npt.NDArray[np.float64],
+    h: npt.NDArray[np.float64],
+    norm_h: float,
+    exponent: int,
+) -> tuple[float, float, float]:
+    """Relative residual ||A^T A a - lambda a|| / lambda, then a.(A^T A)a and h.(A A^T)h of A.
+
+    ``w`` is A times 2**-exponent and ``h`` is w a / ``norm_h``, so one
+    product, w^T h = w^T w a / norm_h, serves all three. An eigenvalue
+    beyond the float range reads inf.
+    """
+    gh = w.T @ h
+    lam_a, lam_h = (
+        math.ldexp(x, 2 * exponent) if math.frexp(x)[1] + 2 * exponent <= 1024 else math.inf
+        for x in (norm_h * norm_h, float(gh.dot(gh)))
+    )
+    return _norm(gh - norm_h * a) / norm_h, lam_a, lam_h
 
 
 def authority_gram(m: AdjacencyMatrix) -> npt.NDArray[np.float64]:
@@ -151,9 +185,21 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
     """Compute authority and hub weights for a result graph.
 
     Alternates a <- A^T h and h <- A a with L2 normalization, starting
-    both vectors uniform, and stops once the successive change of both
-    vectors is at most ``cfg.tolerance`` (or at the iteration cap, in
-    which case the best iterate is returned with ``converged=False``).
+    both vectors uniform. The run converges once the successive change
+    of both vectors and the relative residual of ``a`` are at most
+    ``cfg.tolerance`` and the eigenvalue estimates agree as
+    ``HitsResult`` requires; at the iteration cap the last iterate is
+    returned with ``converged=False``. The sweep runs on A scaled by the
+    power of two just above its largest entry: exact, so the weights do
+    not depend on the scale of A, and no sum leaves the float range.
+
+    If after 50 sweeps the contraction seen so far would need more than
+    n further sweeps (a small gap under the top eigenvalue), one dense
+    eigensolve of A^T A replaces them: ``a`` jumps to its projection onto
+    the top eigenspace, the limit the sweep approaches, and the sweep
+    resumes from there. Eigenvalues within a relative 1e-10 of the
+    largest count as tied; then ``stalled`` is set, and the weights are
+    that projection of the authority iterate begun from a uniform hub.
     Deterministic for a fixed input and configuration.
 
     Raises:
@@ -162,55 +208,54 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
     """
     if cfg is None:
         cfg = SolverConfig()
-    w = m.w
-    n = w.shape[0]
-    if n == 0 or not w.any():
+    n = m.w.shape[0]
+    if n == 0 or not m.w.any():
         raise DegenerateGraphError("the graph has no edges; hub and authority weights are undefined")
+    # a power of two scales exactly, so the weights keep every bit they
+    # have unscaled; dividing by the largest entry would round them
+    exponent = math.frexp(float(m.w.max()))[1]
+    w = np.ldexp(m.w, -exponent)
+    tol = cfg.tolerance
 
-    a = np.full(n, 1.0 / math.sqrt(n))
-    h = np.full(n, 1.0 / math.sqrt(n))
-    delta_a = delta_h = math.inf
-    prev_delta_a = prev_delta_h = math.inf
-    lam_a = prev_lam_a = 0.0
-    converged = False
-    iterations = 0
+    a = h = np.full(n, 1.0 / math.sqrt(n))
+    delta = math.inf
+    converged = stalled = False
     for iterations in range(1, cfg.max_iterations + 1):
         ta = w.T @ h
-        norm_a = float(np.linalg.norm(ta))
+        norm_a = _norm(ta)
         if norm_a == 0.0:
             # unreachable for a nonzero matrix: h lies in range(A), which
             # is orthogonal to null(A^T); kept as a defensive guard
             raise DegenerateGraphError("iteration collapsed to the zero vector")
         a_next = ta / norm_a
         th = w @ a_next
-        norm_h = float(np.linalg.norm(th))
+        norm_h = _norm(th)
         if norm_h == 0.0:
             raise DegenerateGraphError("iteration collapsed to the zero vector")
         h_next = th / norm_h
 
-        prev_delta_a, prev_delta_h = delta_a, delta_h
-        delta_a = float(np.linalg.norm(a_next - a))
-        delta_h = float(np.linalg.norm(h_next - h))
+        prev_delta, delta = delta, max(_norm(a_next - a), _norm(h_next - h))
         a, h = a_next, h_next
-        prev_lam_a, lam_a = lam_a, norm_h * norm_h
-        if delta_a <= cfg.tolerance and delta_h <= cfg.tolerance:
-            converged = True
-            break
+        if delta <= tol:
+            residual, lam_a, lam_h = _rayleigh(w, a, h, norm_h, exponent)
+            if residual <= tol and not _disagree(lam_a, lam_h):
+                converged = True
+                break
+        elif iterations == _WARMUP and (
+            math.log(tol) - math.log(delta) < n * (math.log(delta) - math.log(prev_delta))
+        ):
+            # at the contraction delta / prev_delta seen so far, the
+            # log(tol / delta) / log(contraction) sweeps to go exceed n
+            vals, vecs = np.linalg.eigh(w.T @ w)
+            top = vecs[:, vals[-1] - vals <= _TIE_GAP * vals[-1]]
+            a = np.maximum(top @ (top.T @ a), 0.0)
+            a /= _norm(a)
+            th = w @ a
+            norm_h = _norm(th)
+            h = th / norm_h
+            stalled = top.shape[1] > 1
 
-    # Rayleigh quotients of the returned vectors: a.(A^T A)a and h.(A A^T)h
-    authority_eigenvalue = lam_a
-    hub_eigenvalue = float(np.linalg.norm(w.T @ h) ** 2)
-
-    stalled = False
-    if not converged and iterations >= 2:
-        ratio = 0.0
-        if math.isfinite(prev_delta_a) and prev_delta_a > 0.0:
-            ratio = max(ratio, delta_a / prev_delta_a)
-        if math.isfinite(prev_delta_h) and prev_delta_h > 0.0:
-            ratio = max(ratio, delta_h / prev_delta_h)
-        lam_stable = abs(lam_a - prev_lam_a) <= 1e-6 * max(lam_a, prev_lam_a)
-        stalled = ratio >= _STALL_RATIO and lam_stable
-
+    _, authority_eigenvalue, hub_eigenvalue = _rayleigh(w, a, h, norm_h, exponent)
     return HitsResult(
         authority=WeightVector(a, VectorKind.AUTHORITY),
         hub=WeightVector(h, VectorKind.HUB),

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-from conftest import DATA_DIR
+from conftest import DATA_DIR, random_weights
 
+from hitsrank import emit_matrix, from_named_matrix
 from hitsrank.cli import (
     EXIT_DEGENERATE,
     EXIT_NO_CONVERGENCE,
@@ -171,6 +173,36 @@ class TestRankCommand:
         assert code == EXIT_OK
         assert "did not converge" in err
         assert out != ""
+
+    @pytest.mark.parametrize("tol", ["1e-2", "1.5", "1e300"])
+    @pytest.mark.parametrize("source", [(MINI, "matches"), (LEAGUE, "matrix")])
+    def test_loose_tolerance_succeeds(self, capsys, tol, source):
+        # the eigenvalue estimates must still agree before the run counts as converged
+        code, out, err = run(capsys, "rank", "--input", source[0], "--input-kind", source[1], "--tol", tol)
+        assert code == EXIT_OK
+        assert out != ""
+        assert err == ""
+
+    def test_near_tie_output_does_not_depend_on_the_cap(self, capsys, tmp_path):
+        # two copies of a 10-team league, the second 0.9999 as strong:
+        # lambda2/lambda1 = 0.9998, and the principal vector is 0 on the
+        # weaker copy
+        league = random_weights(np.random.default_rng(5), 10)
+        w = np.zeros((20, 20))
+        w[:10, :10] = league
+        w[10:, 10:] = 0.9999 * league
+        path = tmp_path / "twin.csv"
+        path.write_text(emit_matrix(from_named_matrix([f"t{i}" for i in range(20)], w)))
+        outputs = []
+        for cap in ("10000", "100000"):
+            code, out, err = run(
+                capsys, "rank", "--input", str(path), "--input-kind", "matrix", "--format", "json", "--max-iters", cap
+            )
+            assert (code, err) == (EXIT_OK, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        rows = json.loads(outputs[0])["authority"]["rows"]
+        assert max(r["score"] for r in rows if int(r["team"][1:]) >= 10) <= 1e-8
 
     def test_strict_convergence_fails(self, capsys):
         code, out, err = run(

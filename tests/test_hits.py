@@ -276,13 +276,43 @@ class TestHitsContracts:
         assert res.iterations == 3
         assert abs(np.linalg.norm(res.authority.values) - 1.0) <= 1e-12
 
-    def test_stall_flag_on_tied_spectrum(self):
-        # two nearly equal singular values leave the successive change
-        # hovering at the spectral-gap floor, far above the tolerance
+    def test_near_tie_converges_to_top_eigenvector(self):
+        # lambda2/lambda1 = 1 - 2e-7: power iteration alone would need
+        # millions of sweeps; the dense eigensolve finishes well inside 500
         w = np.array([[0.0, 1.0], [1.0 + 1e-7, 0.0]])
         res = hits(adj(w), SolverConfig(max_iterations=500))
-        assert not res.converged
+        assert res.converged
+        assert not res.stalled
+        assert np.allclose(res.authority.values, [1.0, 0.0], atol=1e-12)
+        assert np.allclose(res.hub.values, [0.0, 1.0], atol=1e-12)
+        assert res.authority_eigenvalue == pytest.approx((1.0 + 1e-7) ** 2, rel=1e-12)
+
+    def test_stall_flag_on_tied_spectrum(self):
+        # two blocks with the same top singular value c tie the top
+        # eigenvalue; the next one, 1, sits close enough below c**2 to
+        # keep power iteration slow, so the dense eigensolve decides
+        c = 1.0 + 1e-7
+        w = np.zeros((7, 7))
+        w[0, 1], w[1, 0] = c, 1.0
+        w[3:, 2] = c / 2.0  # one team took c/2 off each of four others
+        res = hits(adj(w), SolverConfig(max_iterations=500))
+        assert res.converged
         assert res.stalled
+        g = authority_gram(adj(w))
+        lam = res.authority_eigenvalue
+        a = res.authority.values
+        assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
+        assert a.min() >= 0.0
+        assert np.linalg.norm(g @ a - lam * a) <= 1e-8 * lam
+        # the tie convention: the projection onto the tied eigenspace of
+        # A^T 1, the authority iterate begun from a uniform hub vector,
+        # which is the limit power iteration reaches on an exact tie
+        vals, vecs = np.linalg.eigh(g)
+        top = vecs[:, vals[-1] - vals <= 1e-10 * vals[-1]]
+        assert top.shape[1] == 2
+        expected = top @ (top.T @ w.sum(axis=0))
+        assert np.allclose(a, expected / np.linalg.norm(expected), atol=1e-8)
+        assert np.allclose(res.hub.values, w @ a / np.linalg.norm(w @ a), atol=1e-12)
 
     def test_deterministic(self):
         a = hits(adj(FOUR_TEAM_EXTRA))
@@ -359,6 +389,34 @@ class TestHitsProperties:
                 assert scaled.authority_eigenvalue == pytest.approx(
                     c * c * base.authority_eigenvalue, rel=1e-9
                 )
+            checked += 1
+
+    def test_scale_invariance_across_the_float_range(self):
+        # the sweep runs on the matrix prescaled by a power of two, so a
+        # power-of-two scale changes no bit of the weights and any other
+        # normal-float scale leaves them within the tolerance
+        rng = np.random.default_rng(29)
+        tol = SolverConfig().tolerance
+        checked = 0
+        while checked < 300:
+            w = random_weights(rng, int(rng.integers(2, 8)))
+            if not w.any() or gram_spectrum_ratio(w) > 0.5:
+                continue
+            c = 10.0 ** rng.uniform(-300.0, 300.0)
+            k = int(rng.integers(-1000, 1000))
+            if min((c * w[w > 0]).min(), np.ldexp(w[w > 0], k).min()) < np.finfo(float).tiny:
+                continue  # a subnormal entry has lost digits before the solver sees it
+            base = hits(adj(w))
+            scaled = hits(adj(c * w))
+            assert scaled.converged
+            assert np.allclose(scaled.authority.values, base.authority.values, atol=2 * tol)
+            assert np.allclose(scaled.hub.values, base.hub.values, atol=2 * tol)
+            expected = c * c * base.authority_eigenvalue
+            if 1e-300 < expected < 1e300:
+                assert scaled.authority_eigenvalue == pytest.approx(expected, rel=1e-9)
+            exact = hits(adj(np.ldexp(w, k)))
+            assert np.array_equal(exact.authority.values, base.authority.values)
+            assert np.array_equal(exact.hub.values, base.hub.values)
             checked += 1
 
     def test_permutation_equivariance(self):
