@@ -19,21 +19,21 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-from hitsrank.graph import AdjacencyMatrix, MatchRecord, _checked, build_adjacency, sort_teams
+from hitsrank.graph import AdjacencyMatrix, _adjacency, _checked, _Columns, sort_teams
 from hitsrank.hits import DegenerateInputError, HitsResult, SolverConfig, hits
 from hitsrank.io import (
     ParseError,
     TableFormat,
     _lines,
+    _match_columns,
     emit_comparison,
     emit_matrix,
     emit_table,
-    parse_matches,
     parse_matrix,
     parse_table,
     table_object,
 )
-from hitsrank.rank import HubOrder, compare_rankings, rank_authority, rank_hub, points_table
+from hitsrank.rank import HubOrder, _points, compare_rankings, rank_authority, rank_hub
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -261,8 +261,17 @@ def _format(args: argparse.Namespace) -> TableFormat:
     return TableFormat[args.format.upper()]
 
 
-def _match_matrix(matches: list[MatchRecord], args: argparse.Namespace) -> AdjacencyMatrix:
-    m = build_adjacency(matches, win_weight=args.win_weight, draw_weight=args.draw_weight)
+def _summed(total: Callable[[_Columns, float, float], _T], args: argparse.Namespace) -> _T:
+    """``total`` (``_adjacency`` or ``_points``) of the matches file at ``--input``, under the weight flags."""
+    columns = _parse(args.input, _match_columns)
+    try:
+        return total(columns, args.win_weight, args.draw_weight)
+    except ValueError as exc:  # a sum beyond the float range
+        raise CliError(f"--win-weight/--draw-weight too large for {args.input}: {exc}") from None
+
+
+def _match_matrix(args: argparse.Namespace) -> AdjacencyMatrix:
+    m = _summed(_adjacency, args)
     return sort_teams(m) if args.sort_teams else m
 
 
@@ -288,7 +297,7 @@ def _run_hits(m: AdjacencyMatrix, args: argparse.Namespace) -> HitsResult:
 
 def _cmd_rank(args: argparse.Namespace) -> str:
     if args.input_kind == "matches":
-        m = _match_matrix(_parse(args.input, parse_matches), args)
+        m = _match_matrix(args)
     elif args.match_only:
         raise CliError("--win-weight, --draw-weight and --sort-teams apply only to --input-kind matches")
     else:
@@ -309,13 +318,11 @@ def _cmd_rank(args: argparse.Namespace) -> str:
 
 
 def _cmd_points(args: argparse.Namespace) -> str:
-    matches = _parse(args.input, parse_matches)
-    table = points_table(matches, win_points=args.win_weight, draw_points=args.draw_weight)
-    return emit_table(table, _format(args), args.decimals)
+    return emit_table(_summed(_points, args), _format(args), args.decimals)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> str:
-    return emit_matrix(_match_matrix(_parse(args.input, parse_matches), args))
+    return emit_matrix(_match_matrix(args))
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:

@@ -14,7 +14,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -48,6 +48,10 @@ def _bad_name(name: str) -> str | None:
     if "\n" in name or "\r" in name:
         return f"team names must not hold a line break, got {name!r}"
     return None
+
+
+def _self_play(name: str) -> str:
+    return f"a team cannot play itself: {name!r}"
 
 
 def _bad_entry(w: npt.NDArray[np.float64]) -> tuple[int, int, str] | None:
@@ -89,7 +93,7 @@ class MatchRecord:
         if problem := _bad_name(self.team_a) or _bad_name(self.team_b):
             raise ValueError(problem)
         if self.team_a == self.team_b:
-            raise ValueError(f"a team cannot play itself: {self.team_a!r}")
+            raise ValueError(_self_play(self.team_a))
         if not isinstance(self.outcome, Outcome):
             raise TypeError(f"outcome must be an Outcome, got {type(self.outcome).__name__}")
 
@@ -162,37 +166,67 @@ class AdjacencyMatrix:
         return len(self.index)
 
 
-def _encode(
-    matches: Iterable[MatchRecord],
-) -> tuple[TeamIndex, npt.NDArray[np.intp], npt.NDArray[np.intp], npt.NDArray[np.bool_]]:
-    """Teams in first-appearance order, plus winner, loser and drawn per record.
+# an outcome column holds i for _OUTCOMES[i], seen from the home side (team_a)
+_OUTCOMES = tuple(Outcome)
+_CODE = {outcome: i for i, outcome in enumerate(_OUTCOMES)}
 
-    A draw lists ``team_a`` as its winner. This is the one reader of a
-    record's names and outcome.
+
+class _Columns(NamedTuple):
+    """Matches as columns: teams in first-appearance order, then home, away and outcome code per match."""
+
+    index: TeamIndex
+    home: npt.NDArray[np.intp]
+    away: npt.NDArray[np.intp]
+    code: npt.NDArray[np.intp]
+
+    @classmethod
+    def of(cls, names: Iterable[str], home: list[int], away: list[int], code: list[int]) -> _Columns:
+        return cls(TeamIndex(tuple(names)), *(np.array(c, dtype=np.intp) for c in (home, away, code)))
+
+    def sides(self) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp], npt.NDArray[np.bool_]]:
+        """Winner, loser and drawn per match; a draw lists the home side as its winner."""
+        away_wins = self.code == _CODE[Outcome.B_WINS]
+        winner = np.where(away_wins, self.away, self.home)
+        loser = np.where(away_wins, self.home, self.away)
+        return winner, loser, self.code == _CODE[Outcome.DRAW]
+
+
+def _encode(matches: Iterable[MatchRecord]) -> _Columns:
+    """The columns of match records. This is the one reader of a record's names and outcome.
 
     Raises:
         TypeError: if an element of ``matches`` is not a MatchRecord.
     """
     pos: dict[str, int] = {}
-    winner: list[int] = []
-    loser: list[int] = []
-    drawn: list[bool] = []
+    home: list[int] = []
+    away: list[int] = []
+    code: list[int] = []
     for rec in matches:
         if not isinstance(rec, MatchRecord):
             raise TypeError(f"expected MatchRecord, got {type(rec).__name__}")
-        a = pos.setdefault(rec.team_a, len(pos))
-        b = pos.setdefault(rec.team_b, len(pos))
-        if rec.outcome is Outcome.B_WINS:
-            a, b = b, a
-        winner.append(a)
-        loser.append(b)
-        drawn.append(rec.outcome is Outcome.DRAW)
-    return (
-        TeamIndex(tuple(pos)),
-        np.array(winner, dtype=np.intp),
-        np.array(loser, dtype=np.intp),
-        np.array(drawn, dtype=bool),
-    )
+        home.append(pos.setdefault(rec.team_a, len(pos)))
+        away.append(pos.setdefault(rec.team_b, len(pos)))
+        code.append(_CODE[rec.outcome])
+    return _Columns.of(pos, home, away, code)
+
+
+def _adjacency(columns: _Columns, win_weight: float, draw_weight: float) -> AdjacencyMatrix:
+    """The loser-to-winner matrix of match columns, for weights already checked.
+
+    Raises:
+        ValueError: if a sum overflows the float range.
+    """
+    n = len(columns.index)
+    winner, loser, drawn = columns.sides()
+    # two events per match in file order: the points into the winner's
+    # column, then a draw's points back (0 for a win), so each cell sums
+    # its terms in the same order as accumulating match by match
+    cells = np.column_stack((loser * n + winner, winner * n + loser)).ravel()
+    weights = np.column_stack(
+        (np.where(drawn, draw_weight, win_weight), np.where(drawn, draw_weight, 0.0))
+    ).ravel()
+    w = np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
+    return AdjacencyMatrix(columns.index, w)
 
 
 def build_adjacency(
@@ -216,22 +250,12 @@ def build_adjacency(
     Raises:
         TypeError: if a weight is not a real number (``numbers.Real``, not
             a bool), or an element of ``matches`` is not a MatchRecord.
-        ValueError: if a weight is negative or not finite as a float.
+        ValueError: if a weight is negative or not finite as a float, or
+            a cell's sum overflows the float range.
     """
     win_weight = _checked("win_weight", win_weight, 0)
     draw_weight = _checked("draw_weight", draw_weight, 0)
-
-    index, winner, loser, drawn = _encode(matches)
-    n = len(index)
-    # two events per record in file order: the points into the winner's
-    # column, then a draw's points back (0 for a win), so each cell sums
-    # its terms in the same order as accumulating record by record
-    cells = np.column_stack((loser * n + winner, winner * n + loser)).ravel()
-    weights = np.column_stack(
-        (np.where(drawn, draw_weight, win_weight), np.where(drawn, draw_weight, 0.0))
-    ).ravel()
-    w = np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
-    return AdjacencyMatrix(index, w)
+    return _adjacency(_encode(matches), win_weight, draw_weight)
 
 
 def transpose(m: AdjacencyMatrix) -> AdjacencyMatrix:

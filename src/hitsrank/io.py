@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import json
 import math
 from io import StringIO
@@ -18,7 +19,19 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from hitsrank.graph import AdjacencyMatrix, MatchRecord, Outcome, TeamIndex, _bad_entry, _checked
+from hitsrank.graph import (
+    _CODE,
+    _OUTCOMES,
+    AdjacencyMatrix,
+    MatchRecord,
+    Outcome,
+    TeamIndex,
+    _bad_entry,
+    _bad_name,
+    _checked,
+    _Columns,
+    _self_play,
+)
 from hitsrank.rank import ComparisonReport, Ordering, RankRow, RankTable, TableKind, _bad_row
 
 _OUTCOME_BY_CODE = {"H": Outcome.A_WINS, "A": Outcome.B_WINS, "D": Outcome.DRAW}
@@ -58,22 +71,99 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
-def _fields(line: str) -> list[str]:
-    return [f.strip() for row in csv.reader([line]) for f in row]
+def _fields(line: str, line_no: int) -> list[str]:
+    """The trimmed CSV fields of one line; a field past the csv module's limit is a ParseError."""
+    try:
+        return [f.strip() for row in csv.reader([line]) for f in row]
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=line_no) from None
+
+
+def _rows(lines: list[str], first: int) -> Iterator[list[str]]:
+    """The CSV fields of ``lines[first:]``, one row per line; a caller trims them.
+
+    One reader runs over the lines while each row takes one line. An
+    unclosed quote makes it join the lines that follow into one row, or
+    overflow the field limit; from that row on, each line is read by
+    itself with ``_fields``, as a line holds one record. This keeps the
+    cost linear: no line is read more than twice.
+    """
+    reader = csv.reader(itertools.islice(lines, first, None))
+    rows = 0
+    try:
+        for row in reader:
+            if reader.line_num != rows + 1:
+                break
+            rows += 1
+            yield row
+    except csv.Error:
+        pass
+    for i in range(first + rows, len(lines)):
+        yield _fields(lines[i], i + 1)
+
+
+def _header(lines: list[str], header: list[str]) -> None:
+    spec = ",".join(header)
+    if not lines:
+        raise ParseError(f"missing header {spec}", line=1)
+    if _fields(lines[0], 1) != header:
+        raise ParseError(f"expected header {spec}, got {lines[0]!r}", line=1)
 
 
 def _records(lines: list[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each row under a fixed CSV header, one line at a time."""
-    spec = ",".join(header)
-    if not lines:
-        raise ParseError(f"missing header {spec}", line=1)
-    if _fields(lines[0]) != header:
-        raise ParseError(f"expected header {spec}, got {lines[0]!r}", line=1)
+    _header(lines, header)
     for line_no, line in enumerate(lines[1:], start=2):
-        fields = _fields(line)
+        fields = _fields(line, line_no)
         if len(fields) != len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(fields)}", line=line_no)
         yield line_no, fields
+
+
+def _match_columns(text: str) -> _Columns:
+    """The columns of a matches CSV, checked row by row in file order.
+
+    Each row is checked for its field count, outcome code, names and
+    self-play, in that order, so the first broken row is the one
+    reported. A name is checked when it is first seen.
+    """
+    lines = _lines(text)
+    _header(lines, _MATCH_HEADER)
+    pos: dict[str, int] = {}  # trimmed name -> team index
+    team: dict[str, int] = {}  # field as read -> team index
+    outcome: dict[str, int] = {}  # field as read -> outcome code
+    home: list[int] = []
+    away: list[int] = []
+    code: list[int] = []
+
+    def team_of(field: str, line_no: int) -> int:
+        name = field.strip()
+        if name not in pos:
+            if problem := _bad_name(name):
+                raise ParseError(problem, line=line_no)
+            pos[name] = len(pos)
+        team[field] = pos[name]
+        return pos[name]
+
+    for line_no, row in enumerate(_rows(lines, 1), start=2):
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", line=line_no)
+        h, a, c = row
+        if (k := outcome.get(c)) is None:
+            letter = c.strip()
+            if letter not in _OUTCOME_BY_CODE:
+                raise ParseError(f"unknown outcome {letter!r}, expected H, A or D", line=line_no)
+            k = outcome[c] = _CODE[_OUTCOME_BY_CODE[letter]]
+        if (i := team.get(h)) is None:
+            i = team_of(h, line_no)
+        if (j := team.get(a)) is None:
+            j = team_of(a, line_no)
+        if i == j:
+            raise ParseError(_self_play(h.strip()), line=line_no)
+        home.append(i)
+        away.append(j)
+        code.append(k)
+    return _Columns.of(pos, home, away, code)
 
 
 def parse_matches(text: str) -> list[MatchRecord]:
@@ -82,22 +172,16 @@ def parse_matches(text: str) -> list[MatchRecord]:
     The home side maps to ``team_a``, so H means team_a wins and A means
     team_b wins.
     """
-    records: list[MatchRecord] = []
-    for line_no, (home, away, code) in _records(_lines(text), _MATCH_HEADER):
-        if code not in _OUTCOME_BY_CODE:
-            raise ParseError(f"unknown outcome {code!r}, expected H, A or D", line=line_no)
-        try:
-            records.append(MatchRecord(home, away, _OUTCOME_BY_CODE[code]))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=line_no) from None
-    return records
+    index, *columns = _match_columns(text)
+    names = index.names
+    return [MatchRecord(names[i], names[j], _OUTCOMES[k]) for i, j, k in zip(*(c.tolist() for c in columns))]
 
 
 def parse_matrix(text: str) -> AdjacencyMatrix:
     """Parse a matrix CSV whose row order matches its header order."""
     lines = _lines(text) or [""]
     try:
-        index = TeamIndex(tuple(_fields(lines[0])))
+        index = TeamIndex(tuple(_fields(lines[0], 1)))
     except ValueError as exc:
         raise ParseError(str(exc), line=1) from None
     n, found = len(index), len(lines) - 1
@@ -105,7 +189,7 @@ def parse_matrix(text: str) -> AdjacencyMatrix:
         raise ParseError(f"expected {n} matrix rows, found {found}", line=min(found, n) + 2)
     w = np.empty((n, n))
     for r, line in enumerate(lines[1:]):
-        fields = _fields(line)
+        fields = _fields(line, r + 2)
         if len(fields) != n + 1:
             message = f"expected {n + 1} fields (team name plus {n} entries), got {len(fields)}"
             raise ParseError(message, line=r + 2)

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from hitsrank.graph import MatchRecord, TeamIndex, _bad_name, _checked, _encode
+from hitsrank.graph import MatchRecord, TeamIndex, _bad_name, _checked, _Columns, _encode
 from hitsrank.hits import VectorKind, WeightVector
 
 
@@ -161,16 +161,23 @@ def points_table(
     Raises:
         TypeError: if a points value is not a real number (``numbers.Real``,
             not a bool), or an element of ``matches`` is not a MatchRecord.
-        ValueError: if a points value is not finite as a float.
+        ValueError: if a points value is not finite as a float, or a
+            team's total overflows the float range.
     """
     win_points = _checked("win_points", win_points)
     draw_points = _checked("draw_points", draw_points)
-    index, winner, loser, drawn = _encode(matches)
-    n = len(index)
+    return _points(_encode(matches), win_points, draw_points)
+
+
+def _points(columns: _Columns, win_points: float, draw_points: float) -> RankTable:
+    """The points table of match columns, for points values already checked."""
+    n = len(columns.index)
+    winner, loser, drawn = columns.sides()
     wins = np.bincount(winner[~drawn], minlength=n)
     draws = np.bincount(winner[drawn], minlength=n) + np.bincount(loser[drawn], minlength=n)
-    scores = win_points * wins + draw_points * draws
-    rows = _competition_rows(index.names, scores.tolist(), Ordering.DESC_SCORE)
+    with np.errstate(over="ignore", invalid="ignore"):  # RankTable refuses a total that is not finite
+        scores = win_points * wins + draw_points * draws
+    rows = _competition_rows(columns.index.names, scores.tolist(), Ordering.DESC_SCORE)
     return RankTable(rows, Ordering.DESC_SCORE, TableKind.POINTS)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,40 @@ def random_matches(
             j += 1
         records.append(MatchRecord(names[i], names[j], outcomes[int(rng.integers(0, 3))]))
     return records
+
+
+def match_list_text(rnd: random.Random, max_teams: int = 6, max_matches: int = 30) -> str:
+    """A matches CSV drawn with stdlib ``random``: padded and quoted names, one row in 50 a self-play."""
+    names = ["A", "B", " C ", '"D, FC"', "Eé", "F"][: rnd.randint(2, max_teams)]
+    rows = ["home,away,outcome"]
+    for _ in range(rnd.randint(0, max_matches)):
+        home, away = rnd.sample(names, 2)
+        if rnd.random() < 0.02:
+            away = home
+        rows.append(f"{home},{away},{rnd.choice('HHHAAD')}")
+    return "\n".join(rows) + "\n"
+
+
+# a field past the csv module's default field limit of 131,072 characters
+_LONG_PAD = 131_073
+
+
+def mutate(rnd: random.Random, data: bytes) -> bytes:
+    """One to three byte mutations: truncate, flip a bit, insert a quote, BOM, CR, NUL, blank line or padding."""
+    for _ in range(rnd.randint(1, 3)):
+        op = rnd.choice(("truncate", "flip", "quote", "bom", "cr", "nul", "blank", "pad"))
+        at = rnd.randint(0, len(data))
+        if op == "truncate":
+            data = data[:at]
+        elif op == "flip":
+            if data:
+                i = rnd.randrange(len(data))
+                data = data[:i] + bytes([data[i] ^ (1 << rnd.randrange(8))]) + data[i + 1 :]
+        else:
+            pad = b" " * (_LONG_PAD if rnd.random() < 0.02 else rnd.randint(1, 20))
+            insert = {"quote": b'"', "bom": "\ufeff".encode(), "cr": b"\r", "nul": b"\0", "blank": b"\n", "pad": pad}
+            data = data[:at] + insert[op] + data[at:]
+    return data
 
 
 def tau_b_reference(x: list[int], y: list[int]) -> float:

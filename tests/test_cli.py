@@ -1,5 +1,6 @@
 """End-to-end command line behavior: outputs, diagnostics and exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -24,6 +25,9 @@ MINI = str(DATA_DIR / "mini_league_matches.csv")
 LEAGUE = str(DATA_DIR / "epl_2010_11_adjacency.csv")
 OFFICIAL = str(DATA_DIR / "epl_2010_11_official_points.csv")
 SRC = str(DATA_DIR.parent / "src")
+# a field one character past the csv module's limit, and the error it gives
+LONG_FIELD = "x" * (csv.field_size_limit() + 1)
+FIELD_LIMIT_ERROR = f"field larger than field limit ({csv.field_size_limit()})"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -251,6 +255,14 @@ class TestRankCommand:
         assert out == ""
         assert err == f"error: {bad}: line 3, column 5: byte 0xff is not valid UTF-8\n"
 
+    def test_matrix_field_past_the_csv_limit_is_a_parse_error(self, capsys, tmp_path):
+        f = tmp_path / "long.csv"
+        f.write_text(f"A,B\nA,0,1\nB,{LONG_FIELD},0\n")
+        code, out, err = run(capsys, "rank", "--input", str(f), "--input-kind", "matrix")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error: {f}: line 3: {FIELD_LIMIT_ERROR}\n"
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, out, err = run(
             capsys,
@@ -358,7 +370,33 @@ class TestPointsCommand:
         assert out.splitlines()[1] == "1,A,2"
 
 
+    def test_field_past_the_csv_limit_is_a_parse_error(self, capsys, tmp_path):
+        f = tmp_path / "long.csv"
+        f.write_text(f"home,away,outcome\nA,B,H\n{LONG_FIELD},B,H\n")
+        code, out, err = run(capsys, "points", "--input", str(f))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error: {f}: line 3: {FIELD_LIMIT_ERROR}\n"
+
+    def test_total_past_the_float_range_is_a_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "two.csv"
+        f.write_text("home,away,outcome\nX,Y,H\nY,X,A\n")
+        code, out, err = run(capsys, "points", "--input", str(f), "--win-weight", "1e308")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --win-weight/--draw-weight too large for {f}: score must be finite, got inf\n"
+
+
 class TestMatrixCommand:
+    def test_sum_past_the_float_range_is_a_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "two.csv"
+        f.write_text("home,away,outcome\nX,Y,H\nY,X,A\n")
+        for argv in (["matrix"], ["rank", "--input-kind", "matches"]):
+            code, out, err = run(capsys, *argv, "--input", str(f), "--win-weight", "1e308")
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err == f"error: --win-weight/--draw-weight too large for {f}: matrix entries must be finite, got inf\n"
+
     def test_mini_league_bytes(self, capsys):
         code, out, _ = run(capsys, "matrix", "--input", MINI)
         assert code == EXIT_OK
@@ -487,6 +525,16 @@ class TestCompareCommand:
         code, out, err = run(capsys, "compare", str(bad), str(good))
         assert code == EXIT_PARSE
         assert str(bad) in err
+
+    def test_field_past_the_csv_limit_is_a_parse_error(self, capsys, tmp_path):
+        good = tmp_path / "good.csv"
+        good.write_text("rank,team,score\n1,A,2\n2,B,1\n")
+        long = tmp_path / "long.csv"
+        long.write_text(f"rank,team,score\n1,A,2\n2,{LONG_FIELD},1\n")
+        code, out, err = run(capsys, "compare", str(good), str(long))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error: {long}: line 3: {FIELD_LIMIT_ERROR}\n"
 
     def test_score_too_large_for_a_float_is_a_parse_error(self, capsys, tmp_path):
         huge = tmp_path / "huge.json"

@@ -1,11 +1,13 @@
-"""The exit-code contract of ``hitsrank rank`` on random weight matrices.
+"""The exit-code contract of ``hitsrank`` on random weight matrices and match lists.
 
 Every call ends in a documented exit code and never lets an exception
 out of ``main``; exit 4 means the matrix has no nonzero entry, and a
-successful call prints finite, unit-norm weights. The cases span entry
-scales from 1e-300 to 1e300 (normal floats only: a subnormal entry has
-lost digits before the solver sees it), tolerances from 1e-300 to
-1e300 and iteration caps from 1 to 10,000.
+successful call prints finite, unit-norm weights. The matrix cases span
+entry scales from 1e-300 to 1e300 (normal floats only: a subnormal entry
+has lost digits before the solver sees it), tolerances from 1e-300 to
+1e300 and iteration caps from 1 to 10,000. The match-list cases run
+``rank --input-kind matches``, ``points`` and ``matrix`` on random and
+byte-mutated lists under weights from 0 to near the float maximum.
 """
 
 import contextlib
@@ -13,7 +15,20 @@ import io
 import json
 import math
 import random
+import warnings
 
+from conftest import DATA_DIR, match_list_text, mutate
+
+from hitsrank import (
+    ParseError,
+    TableFormat,
+    build_adjacency,
+    emit_matrix,
+    emit_table,
+    parse_matches,
+    points_table,
+    sort_teams,
+)
 from hitsrank.cli import EXIT_DEGENERATE, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 EXIT_CODES = {EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_DEGENERATE, EXIT_NO_CONVERGENCE}
@@ -37,9 +52,19 @@ def matrix_text(w: list[list[float]]) -> str:
 
 def call(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # a warning would reach stderr ahead of the error line, so it fails the case
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def assert_unit_norm_weights(out: str, context: str) -> None:
+    tables = json.loads(out)
+    for kind in ("authority", "hub"):
+        scores = [row["score"] for row in tables[kind]["rows"]]
+        assert all(math.isfinite(s) and s >= 0.0 for s in scores), context
+        assert abs(math.sqrt(sum(s * s for s in scores)) - 1.0) <= 1e-9, context
 
 
 def test_rank_matrix_exit_codes(tmp_path):
@@ -65,10 +90,61 @@ def test_rank_matrix_exit_codes(tmp_path):
             assert out == "", context
             assert err.startswith(("error:", "usage:")), context
             continue
-        tables = json.loads(out)
-        for kind in ("authority", "hub"):
-            scores = [row["score"] for row in tables[kind]["rows"]]
-            assert all(math.isfinite(s) and s >= 0.0 for s in scores), context
-            assert abs(math.sqrt(sum(s * s for s in scores)) - 1.0) <= 1e-9, context
+        assert_unit_norm_weights(out, context)
     # the draw reaches every outcome the solver can give
     assert seen[EXIT_OK] and seen[EXIT_DEGENERATE] and seen[EXIT_NO_CONVERGENCE], seen
+
+
+def random_weight(rnd: random.Random) -> float:
+    # the last choice makes a repeated fixture's sum overflow
+    return rnd.choice([0.0, 1.0, 3.0, rnd.uniform(0.0, 5.0), 10.0 ** rnd.uniform(-300.0, 308.0), rnd.uniform(0.5, 1.0) * 1.7e308])
+
+
+def library_output(command: str, data: bytes, win: float, draw: float, sort: bool) -> tuple[int, str | None]:
+    """The exit code the CLI owes, and for points and matrix the stdout, from the public record path."""
+    try:
+        records = parse_matches(data.decode("utf-8"))
+    except (UnicodeDecodeError, ParseError):
+        return EXIT_PARSE, None
+    try:
+        if command == "points":
+            return EXIT_OK, emit_table(points_table(records, win, draw), TableFormat.CSV)
+        m = build_adjacency(records, win, draw)
+    except ValueError:  # a sum beyond the float range
+        return EXIT_USAGE, None
+    if command == "matrix":
+        return EXIT_OK, emit_matrix(sort_teams(m) if sort else m)
+    return (EXIT_OK if m.w.any() else EXIT_DEGENERATE), None
+
+
+def test_match_list_exit_codes(tmp_path):
+    rnd = random.Random(20131020)
+    mini = (DATA_DIR / "mini_league_matches.csv").read_bytes()
+    path = tmp_path / "matches.csv"
+    seen = {code: 0 for code in EXIT_CODES}
+    for case in range(600):
+        data = mini if rnd.random() < 0.3 else match_list_text(rnd).encode()
+        if rnd.random() < 0.6:
+            data = mutate(rnd, data)
+        path.write_bytes(data)
+        command = rnd.choice(["rank", "points", "matrix"])
+        win, draw = random_weight(rnd), random_weight(rnd)
+        sort = command != "points" and rnd.random() < 0.5
+        argv = [command, "--input", str(path), "--win-weight", repr(win), "--draw-weight", repr(draw)]
+        argv += ["--sort-teams"] * sort
+        argv += {"rank": ["--input-kind", "matches", "--format", "json"], "points": ["--format", "csv"]}.get(command, [])
+        code, out, err = call(argv)
+        context = f"case {case}: {argv} on {data[:300]!r}"
+        assert code in EXIT_CODES, context
+        seen[code] += 1
+        expected, expected_out = library_output(command, data, win, draw, sort)
+        assert code == expected, context
+        if code != EXIT_OK:
+            assert out == "", context
+            assert err.startswith(("error:", "usage:")), context
+        elif expected_out is not None:
+            # the CLI's columns give the bits of the public record path
+            assert out == expected_out, context
+        else:
+            assert_unit_norm_weights(out, context)
+    assert seen[EXIT_OK] and seen[EXIT_USAGE] and seen[EXIT_PARSE] and seen[EXIT_DEGENERATE], seen

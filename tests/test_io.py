@@ -1,11 +1,13 @@
 """Parsers and emitters: match lists, adjacency matrices, rank tables."""
 
+import csv
 import json
 import math
+import random
 
 import numpy as np
 import pytest
-from conftest import DATA_DIR, mini_matches, random_matches
+from conftest import DATA_DIR, match_list_text, mini_matches, mutate, random_matches
 
 from hitsrank import (
     AdjacencyMatrix,
@@ -29,6 +31,8 @@ from hitsrank import (
     TeamIndex,
     table_object,
 )
+from hitsrank.graph import _OUTCOMES
+from hitsrank.io import _lines, _match_columns
 
 # characters str.splitlines breaks at that are neither LF nor CR, so a
 # CSV field may hold them
@@ -130,6 +134,108 @@ class TestParseMatches:
         with pytest.raises(ParseError) as exc:
             parse_matches(f"home,away,outcome\n{name},B,H\nB,C,W\n")
         assert exc.value.line == 3
+
+    # An unclosed quote ends with its line: each line is one record, as
+    # csv reads a lone line, even where csv would join the lines after it.
+    def test_unclosed_quote_on_a_last_field_is_one_row(self):
+        recs = parse_matches('home,away,outcome\nA,B,"H\nC,D,A\n')
+        assert recs == [MatchRecord("A", "B", Outcome.A_WINS), MatchRecord("C", "D", Outcome.B_WINS)]
+
+    def test_unclosed_quote_mid_row_is_a_short_row(self):
+        with pytest.raises(ParseError) as exc:
+            parse_matches('home,away,outcome\nA,"B,H\nC,D,A\n')
+        assert str(exc.value) == "line 2: expected 3 fields, got 2"
+
+    def test_unclosed_quote_before_more_than_the_field_limit(self):
+        rows = "".join(f"T{i},U{i},H\n" for i in range(20_000))
+        assert len(rows) > csv.field_size_limit()
+        with pytest.raises(ParseError) as exc:
+            parse_matches('home,away,outcome\nX,Y,D\nA,"B,H\n' + rows)
+        assert str(exc.value) == "line 3: expected 3 fields, got 2"
+
+    def test_field_past_the_csv_limit(self):
+        long_name = "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(ParseError) as exc:
+            parse_matches(f"home,away,outcome\nA,B,H\n{long_name},B,H\n")
+        assert str(exc.value) == f"line 3: field larger than field limit ({csv.field_size_limit()})"
+        with pytest.raises(ParseError) as exc:
+            parse_matches(long_name)
+        assert exc.value.line == 1
+
+
+def per_line_matches(text: str) -> list[tuple[str, str, Outcome]]:
+    """(home, away, outcome) per row, reading one line at a time (reference oracle).
+
+    The rules and messages of the parser: a header, then per row the
+    field count, the outcome code, the names and self-play, in that
+    order; a field past the csv limit is an error of its line.
+    """
+
+    def fields(line: str, line_no: int) -> list[str]:
+        try:
+            return [f.strip() for row in csv.reader([line]) for f in row]
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=line_no) from None
+
+    lines = _lines(text)
+    if not lines:
+        raise ParseError("missing header home,away,outcome", line=1)
+    if fields(lines[0], 1) != ["home", "away", "outcome"]:
+        raise ParseError(f"expected header home,away,outcome, got {lines[0]!r}", line=1)
+    outcomes = {"H": Outcome.A_WINS, "A": Outcome.B_WINS, "D": Outcome.DRAW}
+    matches = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        row = fields(line, line_no)
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", line=line_no)
+        home, away, code = row
+        if code not in outcomes:
+            raise ParseError(f"unknown outcome {code!r}, expected H, A or D", line=line_no)
+        try:
+            MatchRecord(home, away, outcomes[code])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=line_no) from None
+        matches.append((home, away, outcomes[code]))
+    return matches
+
+
+class TestMatchColumns:
+    def test_agrees_with_the_per_line_reader_on_mutated_files(self):
+        rnd = random.Random(20131019)
+        mini = (DATA_DIR / "mini_league_matches.csv").read_bytes()
+        outcomes = {"ok": 0, "error": 0}
+        for case in range(1000):
+            base = mini if case % 2 else match_list_text(rnd).encode()
+            text = mutate(rnd, base).decode("utf-8", errors="surrogateescape")
+            try:
+                expected = per_line_matches(text)
+            except ParseError as exc:
+                expected = str(exc)
+            try:
+                index, home, away, code = _match_columns(text)
+                names = index.names
+                got = [(names[i], names[j], _OUTCOMES[k]) for i, j, k in zip(home, away, code)]
+                # teams in first-appearance order
+                assert names == tuple(dict.fromkeys(n for match in got for n in match[:2])), text
+            except ParseError as exc:
+                got = str(exc)
+            assert got == expected, f"case {case}: {text!r}"
+            outcomes["error" if isinstance(got, str) else "ok"] += 1
+        # the draw reaches both outcomes often
+        assert min(outcomes.values()) > 100, outcomes
+
+    def test_bulk_league_with_unclosed_quotes(self):
+        rnd = random.Random(7)
+        teams = [f"T{i}" for i in range(40)]
+        lines = ["home,away,outcome"]
+        for i in range(5000):
+            home, away = rnd.sample(teams, 2)
+            lines.append(f'{home},{away},"H' if i % 100 == 50 else f"{home},{away},{rnd.choice('HAD')}")
+        text = "\n".join(lines) + "\n"
+        index, home, away, code = _match_columns(text)
+        names = index.names
+        got = [(names[i], names[j], _OUTCOMES[k]) for i, j, k in zip(home, away, code)]
+        assert got == per_line_matches(text)
 
 
 class TestParseMatrix:
