@@ -1,8 +1,9 @@
 """Command-line interface: rank, points, matrix and compare commands.
 
 Tables go to stdout, diagnostics and warnings to stderr, so output is
-pipe-safe; identical invocations produce byte-identical output. Error
-paths write nothing to stdout.
+pipe-safe; identical invocations produce byte-identical output, on any
+core count when run through ``hitsrank.__main__``, which keeps BLAS on
+one thread. Error paths write nothing to stdout.
 
 Exit codes: 0 success, 2 usage error (bad flags, unreadable file,
 mismatched team sets), 3 parse error, 4 degenerate graph (no edges),
@@ -22,6 +23,7 @@ from typing import Callable, Sequence, TypeVar
 from hitsrank.graph import AdjacencyMatrix, _adjacency, _checked, _Columns, sort_teams
 from hitsrank.hits import DegenerateInputError, HitsResult, SolverConfig, hits
 from hitsrank.io import (
+    _MAX_DECIMALS,
     ParseError,
     TableFormat,
     _lines,
@@ -52,7 +54,9 @@ class CliError(Exception):
     exit_code: int = EXIT_USAGE
 
 
-def _number(kind: type, name: str, minimum: int, strict: bool = False) -> Callable[[str], float]:
+def _number(
+    kind: type, name: str, minimum: int, strict: bool = False, maximum: int | None = None
+) -> Callable[[str], float]:
     """argparse type: ``kind`` (int or float) of the text, checked as the parameter ``name``."""
 
     def parse(text: str) -> float:
@@ -62,7 +66,7 @@ def _number(kind: type, name: str, minimum: int, strict: bool = False) -> Callab
             noun = "a number" if kind is float else "an integer"
             raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
         try:
-            return _checked(name, value, minimum, strict, integer=kind is int)
+            return _checked(name, value, minimum, strict, integer=kind is int, maximum=maximum)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -78,10 +82,10 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--decimals",
-        type=_number(int, "decimals", 0),
+        type=_number(int, "decimals", 0, maximum=_MAX_DECIMALS),
         default=3,
         metavar="N",
-        help="score decimals in text/csv output (default 3; json keeps full precision)",
+        help=f"score decimals in text/csv output, 0 to {_MAX_DECIMALS} (default 3; json keeps full precision)",
     )
 
 
@@ -285,6 +289,7 @@ def _run_hits(m: AdjacencyMatrix, args: argparse.Namespace) -> HitsResult:
         print(f"iterations: {result.iterations}", file=sys.stderr)
         print(f"eigenvalue: {result.authority_eigenvalue!r}", file=sys.stderr)
         print(f"converged: {result.converged}", file=sys.stderr)
+        print(f"stalled: {result.stalled}", file=sys.stderr)
     if not result.converged:
         message = f"did not converge within {cfg.max_iterations} iterations"
         if result.stalled:

@@ -21,12 +21,18 @@ import numpy.typing as npt
 
 
 def _checked(
-    name: str, value: object, minimum: float | None = None, strict: bool = False, integer: bool = False
+    name: str,
+    value: object,
+    minimum: float | None = None,
+    strict: bool = False,
+    integer: bool = False,
+    maximum: float | None = None,
 ) -> float | int:
     """The number rule of every scalar parameter: ``value`` as a float (an int if ``integer``).
 
     TypeError unless ``value`` is a ``numbers.Real`` (``numbers.Integral`` if ``integer``) and no bool;
-    ValueError unless it is finite as a float and at least ``minimum`` (above it if ``strict``).
+    ValueError unless it is finite as a float, at least ``minimum`` (above it if ``strict``) and at
+    most ``maximum``.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
         kind = "an integer" if integer else "a real number"
@@ -35,8 +41,10 @@ def _checked(
         number = float(value)
     except OverflowError:  # an int beyond the float range; math.copysign would overflow too
         number = value = math.inf if value > 0 else -math.inf
+    low = minimum is not None and (number <= minimum if strict else number < minimum)
     bound = "" if minimum is None else f" and {'>' if strict else '>='} {minimum}"
-    if not math.isfinite(number) or (bound and (number <= minimum if strict else number < minimum)):
+    bound += "" if maximum is None else f" and <= {maximum}"
+    if not math.isfinite(number) or low or (maximum is not None and number > maximum):
         raise ValueError(f"{name} must be finite{bound}, got {value}")
     return int(value) if integer else number
 

@@ -38,6 +38,8 @@ _OUTCOME_BY_CODE = {"H": Outcome.A_WINS, "A": Outcome.B_WINS, "D": Outcome.DRAW}
 _MATCH_HEADER = ["home", "away", "outcome"]
 _TABLE_HEADER = ["rank", "team", "score"]
 _TIE_NOTE = "# ties share the smaller rank (competition ranking)"
+# every float is exact to 1074 places after the point (the smallest is 2**-1074)
+_MAX_DECIMALS = 1074
 
 
 class TableFormat(enum.Enum):
@@ -210,7 +212,7 @@ def parse_matrix(text: str) -> AdjacencyMatrix:
 
 def _check_decimals(decimals: int) -> int:
     try:
-        return _checked("decimals", decimals, 0, integer=True)
+        return _checked("decimals", decimals, 0, integer=True, maximum=_MAX_DECIMALS)
     except TypeError as exc:  # emitters raise ValueError for every bad value, bool included
         raise ValueError(str(exc)) from None
 

@@ -157,11 +157,27 @@ class TestRankCommand:
         assert "iterations:" in err
         assert "eigenvalue:" in err
         assert "converged: True" in err
+        assert "stalled: False" in err
         _, quiet_out, quiet_err = run(
             capsys, "rank", "--input", MINI, "--input-kind", "matches"
         )
         assert quiet_err == ""
         assert out == quiet_out
+
+    def test_verbose_reports_a_tied_top_eigenvalue(self, capsys, tmp_path):
+        # two blocks share the top singular value c, and the next one, 1,
+        # keeps the sweeps slow until the dense eigensolve finds the tie
+        c = 1.0 + 1e-7
+        w = np.zeros((7, 7))
+        w[0, 1], w[1, 0] = c, 1.0
+        w[3:, 2] = c / 2.0
+        path = tmp_path / "tied.csv"
+        path.write_text(emit_matrix(from_named_matrix([f"t{i}" for i in range(7)], w)))
+        argv = ("rank", "--input", str(path), "--input-kind", "matrix", "--format", "json")
+        code, out, err = run(capsys, *argv, "--verbose")
+        assert code == EXIT_OK
+        assert "converged: True\nstalled: True\n" in err
+        assert out == run(capsys, *argv)[1]
 
     def test_deterministic_output(self, capsys):
         args = ("rank", "--input", LEAGUE, "--input-kind", "matrix", "--format", "json")
@@ -330,6 +346,8 @@ FLAG_CASES = [
     ("--decimals", "-0.0", "not an integer: '-0.0'"),
     ("--decimals", "nan", "not an integer: 'nan'"),
     ("--decimals", "1.5", "not an integer: '1.5'"),
+    ("--decimals", "1074", 1074),
+    ("--decimals", "2147483648", "decimals must be finite and >= 0 and <= 1074, got 2147483648"),
 ]
 
 
@@ -554,6 +572,30 @@ class TestCompareCommand:
         assert f"{table}: row 1: team names must not hold a line break" in err
 
 
+PUBLIC_API = [
+    "AdjacencyMatrix", "ComparisonReport", "ComparisonRow", "DegenerateGraphError", "DegenerateInputError",
+    "HitsResult", "HubOrder", "MatchRecord", "Ordering", "Outcome", "ParseError", "RankRow", "RankTable",
+    "SolverConfig", "TableFormat", "TableKind", "TeamIndex", "VectorKind", "WeightVector", "authority_gram",
+    "build_adjacency", "compare_rankings", "emit_comparison", "emit_matrix", "emit_table", "from_named_matrix",
+    "hits", "hub_gram", "parse_matches", "parse_matrix", "parse_table", "points_table", "rank_authority",
+    "rank_hub", "sort_teams", "table_object", "transpose",
+]
+# OpenBLAS takes its thread count from the first of these it finds set
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def unthreaded_env(**blas: str) -> dict[str, str]:
+    """``child_env()`` with the BLAS thread variables set to ``blas`` alone."""
+    env = {k: v for k, v in child_env().items() if k not in BLAS_THREAD_VARS}
+    return env | blas
+
+
+def python(*args: str, env: dict[str, str]) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return proc
+
+
 class TestEntryPoints:
     def test_module_invocation_matches_console_script(self):
         proc = subprocess.run(
@@ -577,3 +619,54 @@ class TestEntryPoints:
         )
         assert proc.returncode == EXIT_OK
         assert proc.stdout == "[]\n"
+
+    def test_package_import_loads_no_numpy(self):
+        # so python -m hitsrank can choose BLAS threads before numpy loads
+        proc = python("-c", "import hitsrank, sys; print('numpy' in sys.modules)", env=child_env())
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("first", ["hitsrank.io", "hitsrank.rank", "hitsrank.cli", "hitsrank.hits"])
+    def test_hits_is_the_solver_in_every_import_order(self, first):
+        # loading the submodule hitsrank.hits must not cover the function hitsrank.hits
+        code = (
+            f"import {first}, hitsrank, importlib; from hitsrank import hits; "
+            "print(callable(hits), hits is hitsrank.hits, importlib.import_module('hitsrank.hits').hits is hits, "
+            "sorted(hitsrank.__all__))"
+        )
+        proc = python("-c", code, env=child_env())
+        assert proc.stdout == f"True True True {PUBLIC_API}\n"
+
+    @pytest.mark.parametrize(
+        "caller, expected",
+        [
+            ({}, ["1", None, None]),
+            ({"OPENBLAS_NUM_THREADS": "2"}, ["2", None, None]),
+            ({"GOTO_NUM_THREADS": "2"}, [None, "2", None]),
+            ({"OMP_NUM_THREADS": "2"}, [None, None, "2"]),
+        ],
+    )
+    def test_cli_runs_one_blas_thread_unless_the_caller_chose(self, caller, expected):
+        # what the console script runs, then the variables as the run left them
+        code = (
+            "import json, os, sys; from hitsrank.__main__ import main; "
+            "assert 'numpy' not in sys.modules; code = main(); "
+            f"print(json.dumps([os.environ.get(v) for v in {BLAS_THREAD_VARS}]), file=sys.stderr); sys.exit(code)"
+        )
+        proc = python("-c", code, "rank", "--input", LEAGUE, "--input-kind", "matrix", env=unthreaded_env(**caller))
+        assert proc.stdout.startswith("# authority\n")
+        assert json.loads(proc.stderr) == expected
+
+    def test_output_does_not_depend_on_the_callers_blas_threads(self, tmp_path):
+        # two 200-team conferences, the second 0.9995 as strong and sparsely
+        # linked: the gap sends the solve to the dense eigensolve, whose
+        # last bits follow the BLAS thread count
+        rng = np.random.default_rng(400)
+        a, b = random_weights(rng, 200), random_weights(rng, 200)
+        b *= 0.9995 * np.linalg.norm(a, 2) / np.linalg.norm(b, 2)
+        links = 0.05 * (rng.random((2, 200, 200)) < 0.02)
+        w = np.block([[a, links[0]], [links[1], b]])
+        path = tmp_path / "league.csv"
+        path.write_text(emit_matrix(from_named_matrix([f"t{i:03d}" for i in range(400)], w)))
+        argv = ("-m", "hitsrank", "rank", "--input", str(path), "--input-kind", "matrix", "--format", "json")
+        default = python(*argv, env=unthreaded_env()).stdout
+        assert default == python(*argv, env=unthreaded_env(OPENBLAS_NUM_THREADS="1")).stdout

@@ -467,6 +467,10 @@ class TestEmitTable:
             emit_table(t, TableFormat.TEXT, decimals=-1)
         with pytest.raises(ValueError):
             emit_table(t, TableFormat.TEXT, decimals=True)
+        # 1074 places show every float exactly; past 2**31 the format itself fails
+        for decimals in (1075, 2**31):
+            with pytest.raises(ValueError, match="decimals must be finite and >= 0 and <= 1074"):
+                emit_comparison(compare_rankings(t, t), TableFormat.TEXT, decimals=decimals)
 
 
 class TestEmitComparison:
