@@ -353,6 +353,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     sys.stdout.write(output)
     return EXIT_OK
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,16 +2,18 @@
 
 README "File formats" gives the schemas and rules. Files are UTF-8 with
 an optional leading BOM; LF, CRLF or CR end a line and nothing else
-does; each record is one line, with trimmed fields. Every parse failure
-raises ParseError carrying a 1-based line (and column where it is
-known); parsers never raise anything else on malformed text.
+does; each record is one line, with trimmed fields. One CSV reader,
+``_rows``, reads every line of all three formats, header included, so
+an open quote ends with its line and the field limit holds in each.
+Every parse failure raises ParseError carrying a 1-based line (and
+column where it is known); parsers never raise anything else on
+malformed text.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import itertools
 import json
 import math
 from io import StringIO
@@ -73,24 +75,18 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
-def _fields(line: str, line_no: int) -> list[str]:
-    """The trimmed CSV fields of one line; a field past the csv module's limit is a ParseError."""
-    try:
-        return [f.strip() for row in csv.reader([line]) for f in row]
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=line_no) from None
+def _rows(lines: list[str]) -> Iterator[list[str]]:
+    """The CSV fields of every line, header included, one row per line; a caller trims them.
 
-
-def _rows(lines: list[str], first: int) -> Iterator[list[str]]:
-    """The CSV fields of ``lines[first:]``, one row per line; a caller trims them.
-
-    One reader runs over the lines while each row takes one line. An
-    unclosed quote makes it join the lines that follow into one row, or
-    overflow the field limit; from that row on, each line is read by
-    itself with ``_fields``, as a line holds one record. This keeps the
-    cost linear: no line is read more than twice.
+    The one CSV reader, for match lists, matrices and rank tables alike.
+    One ``csv.reader`` runs over all the lines while each row takes one
+    line. An unclosed quote makes it join the lines that follow into one
+    row, or overflow the field limit; from that row on, each line is
+    read by itself, as a line holds one record, and a field past the
+    csv module's limit is a ParseError of its line. This keeps the cost
+    linear: no line is read more than twice.
     """
-    reader = csv.reader(itertools.islice(lines, first, None))
+    reader = csv.reader(lines)
     rows = 0
     try:
         for row in reader:
@@ -100,26 +96,23 @@ def _rows(lines: list[str], first: int) -> Iterator[list[str]]:
             yield row
     except csv.Error:
         pass
-    for i in range(first + rows, len(lines)):
-        yield _fields(lines[i], i + 1)
+    for i in range(rows, len(lines)):
+        try:
+            yield next(csv.reader([lines[i]]))
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=i + 1) from None
 
 
-def _header(lines: list[str], header: list[str]) -> None:
+def _header(lines: list[str], header: list[str]) -> Iterator[list[str]]:
+    """The rows after the first, once the first is checked to be ``header``."""
+    rows = _rows(lines)
     spec = ",".join(header)
-    if not lines:
+    first = next(rows, None)
+    if first is None:
         raise ParseError(f"missing header {spec}", line=1)
-    if _fields(lines[0], 1) != header:
+    if [f.strip() for f in first] != header:
         raise ParseError(f"expected header {spec}, got {lines[0]!r}", line=1)
-
-
-def _records(lines: list[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each row under a fixed CSV header, one line at a time."""
-    _header(lines, header)
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = _fields(line, line_no)
-        if len(fields) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", line=line_no)
-        yield line_no, fields
+    return rows
 
 
 def _match_columns(text: str) -> _Columns:
@@ -130,7 +123,7 @@ def _match_columns(text: str) -> _Columns:
     reported. A name is checked when it is first seen.
     """
     lines = _lines(text)
-    _header(lines, _MATCH_HEADER)
+    rows = _header(lines, _MATCH_HEADER)
     pos: dict[str, int] = {}  # trimmed name -> team index
     team: dict[str, int] = {}  # field as read -> team index
     outcome: dict[str, int] = {}  # field as read -> outcome code
@@ -147,7 +140,7 @@ def _match_columns(text: str) -> _Columns:
         team[field] = pos[name]
         return pos[name]
 
-    for line_no, row in enumerate(_rows(lines, 1), start=2):
+    for line_no, row in enumerate(rows, start=2):
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", line=line_no)
         h, a, c = row
@@ -182,16 +175,18 @@ def parse_matches(text: str) -> list[MatchRecord]:
 def parse_matrix(text: str) -> AdjacencyMatrix:
     """Parse a matrix CSV whose row order matches its header order."""
     lines = _lines(text) or [""]
+    rows = _rows(lines)
+    names = tuple(f.strip() for f in next(rows))
     try:
-        index = TeamIndex(tuple(_fields(lines[0], 1)))
+        index = TeamIndex(names)
     except ValueError as exc:
         raise ParseError(str(exc), line=1) from None
     n, found = len(index), len(lines) - 1
     if found != n:
         raise ParseError(f"expected {n} matrix rows, found {found}", line=min(found, n) + 2)
     w = np.empty((n, n))
-    for r, line in enumerate(lines[1:]):
-        fields = _fields(line, r + 2)
+    for r, row in enumerate(rows):
+        fields = [f.strip() for f in row]
         if len(fields) != n + 1:
             message = f"expected {n + 1} fields (team name plus {n} entries), got {len(fields)}"
             raise ParseError(message, line=r + 2)
@@ -365,7 +360,10 @@ def _table(rows: list[RankRow], declared: Ordering | None, kind: TableKind | Non
 
 def _parse_table_csv(lines: list[str]) -> RankTable:
     rows: list[RankRow] = []
-    for line_no, (rank_field, team, score_field) in _records(lines, _TABLE_HEADER):
+    for line_no, fields in enumerate(_header(lines, _TABLE_HEADER), start=2):
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 fields, got {len(fields)}", line=line_no)
+        rank_field, team, score_field = (f.strip() for f in fields)
         try:
             rank = int(rank_field)
         except ValueError:

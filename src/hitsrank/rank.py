@@ -210,8 +210,7 @@ def compare_rankings(a: RankTable, b: RankTable) -> ComparisonReport:
     Raises:
         ValueError: if the tables do not cover the same teams.
     """
-    ranks_a = {row.team: row.rank for row in a.rows}
-    ranks_b = {row.team: row.rank for row in b.rows}
+    ranks_a, ranks_b = a._rank_by_team, b._rank_by_team
     if set(ranks_a) != set(ranks_b):
         only_a = sorted(set(ranks_a) - set(ranks_b))[:5]
         only_b = sorted(set(ranks_b) - set(ranks_a))[:5]

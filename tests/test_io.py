@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import random
+from typing import Callable, Iterator
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ from hitsrank import (
     TeamIndex,
     table_object,
 )
-from hitsrank.graph import _OUTCOMES
-from hitsrank.io import _lines, _match_columns
+from hitsrank.graph import _OUTCOMES, _bad_entry
+from hitsrank.io import _lines, _match_columns, _table
 
 # characters str.splitlines breaks at that are neither LF nor CR, so a
 # CSV field may hold them
@@ -163,6 +164,22 @@ class TestParseMatches:
         assert exc.value.line == 1
 
 
+def per_line_fields(line: str, line_no: int) -> list[str]:
+    """The trimmed fields of one line read by itself; a field past the csv limit is an error of its line."""
+    try:
+        return [f.strip() for row in csv.reader([line]) for f in row]
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=line_no) from None
+
+
+def per_line_header(lines: list[str], header: list[str]) -> None:
+    spec = ",".join(header)
+    if not lines:
+        raise ParseError(f"missing header {spec}", line=1)
+    if per_line_fields(lines[0], 1) != header:
+        raise ParseError(f"expected header {spec}, got {lines[0]!r}", line=1)
+
+
 def per_line_matches(text: str) -> list[tuple[str, str, Outcome]]:
     """(home, away, outcome) per row, reading one line at a time (reference oracle).
 
@@ -170,22 +187,12 @@ def per_line_matches(text: str) -> list[tuple[str, str, Outcome]]:
     field count, the outcome code, the names and self-play, in that
     order; a field past the csv limit is an error of its line.
     """
-
-    def fields(line: str, line_no: int) -> list[str]:
-        try:
-            return [f.strip() for row in csv.reader([line]) for f in row]
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=line_no) from None
-
     lines = _lines(text)
-    if not lines:
-        raise ParseError("missing header home,away,outcome", line=1)
-    if fields(lines[0], 1) != ["home", "away", "outcome"]:
-        raise ParseError(f"expected header home,away,outcome, got {lines[0]!r}", line=1)
+    per_line_header(lines, ["home", "away", "outcome"])
     outcomes = {"H": Outcome.A_WINS, "A": Outcome.B_WINS, "D": Outcome.DRAW}
     matches = []
     for line_no, line in enumerate(lines[1:], start=2):
-        row = fields(line, line_no)
+        row = per_line_fields(line, line_no)
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", line=line_no)
         home, away, code = row
@@ -199,14 +206,20 @@ def per_line_matches(text: str) -> list[tuple[str, str, Outcome]]:
     return matches
 
 
+def mutation_pool(seed: int, bases: list[Callable[[random.Random], bytes]], cases: int = 1000) -> Iterator[tuple[int, str]]:
+    """(case, text): seeded ``mutate`` of each base in turn, decoded as a parser is given it."""
+    rnd = random.Random(seed)
+    for case in range(cases):
+        base = bases[case % len(bases)](rnd)
+        yield case, mutate(rnd, base).decode("utf-8", errors="surrogateescape")
+
+
 class TestMatchColumns:
     def test_agrees_with_the_per_line_reader_on_mutated_files(self):
-        rnd = random.Random(20131019)
         mini = (DATA_DIR / "mini_league_matches.csv").read_bytes()
         outcomes = {"ok": 0, "error": 0}
-        for case in range(1000):
-            base = mini if case % 2 else match_list_text(rnd).encode()
-            text = mutate(rnd, base).decode("utf-8", errors="surrogateescape")
+        bases = [lambda rnd: match_list_text(rnd).encode(), lambda rnd: mini]
+        for case, text in mutation_pool(20131019, bases):
             try:
                 expected = per_line_matches(text)
             except ParseError as exc:
@@ -738,3 +751,159 @@ class TestTableRules:
         with pytest.raises(ParseError) as exc:
             parse_table(json.dumps({"ordering": ordering, "rows": rows}))
         assert str(exc.value) == f"row {at + 1}: scores violate declared ordering"
+
+
+def per_line_matrix(text: str) -> AdjacencyMatrix:
+    """``parse_matrix`` reading one line at a time (reference oracle), with its rules and messages."""
+    lines = _lines(text) or [""]
+    names = tuple(per_line_fields(lines[0], 1))
+    try:
+        index = TeamIndex(names)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=1) from None
+    n, found = len(index), len(lines) - 1
+    if found != n:
+        raise ParseError(f"expected {n} matrix rows, found {found}", line=min(found, n) + 2)
+    w = np.zeros((n, n))
+    for r, line in enumerate(lines[1:]):
+        row = per_line_fields(line, r + 2)
+        if len(row) != n + 1:
+            raise ParseError(f"expected {n + 1} fields (team name plus {n} entries), got {len(row)}", line=r + 2)
+        if row[0] != index.names[r]:
+            message = f"row {r + 1} is {row[0]!r}, expected {index.names[r]!r} (rows must follow header order)"
+            raise ParseError(message, line=r + 2, column=1)
+        for c, field in enumerate(row[1:]):
+            try:
+                w[r, c] = float(field)
+            except ValueError:
+                raise ParseError(f"not a number: {field!r}", line=r + 2, column=c + 2) from None
+    if bad := _bad_entry(w):
+        raise ParseError(bad[2], line=bad[0] + 2, column=bad[1] + 2)
+    return AdjacencyMatrix(index, w)
+
+
+def per_line_table(text: str) -> RankTable:
+    """CSV ``parse_table`` reading one line at a time (reference oracle); JSON is left to ``parse_table``."""
+    lines = _lines(text)
+    if "\n".join(lines).lstrip().startswith("{"):
+        return parse_table(text)
+    per_line_header(lines, ["rank", "team", "score"])
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        fields = per_line_fields(line, line_no)
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 fields, got {len(fields)}", line=line_no)
+        rank_field, team, score_field = fields
+        try:
+            rank = int(rank_field)
+        except ValueError:
+            raise ParseError(f"rank must be an integer, got {rank_field!r}", line=line_no, column=1) from None
+        try:
+            score = float(score_field)
+        except ValueError:
+            raise ParseError(f"score must be a number, got {score_field!r}", line=line_no, column=3) from None
+        rows.append(RankRow(rank, team, score))
+    return _table(rows, None, None, csv_rows=True)
+
+
+def parsed(parse: Callable[[str], object], text: str) -> object:
+    """What a parser makes of the text: a comparable result, or the ParseError text."""
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    if isinstance(result, AdjacencyMatrix):
+        return result.index.names, result.w.tolist()
+    return result
+
+
+def matrix_base(rnd: random.Random) -> bytes:
+    """A small matrix CSV drawn with stdlib ``random``: padded, quoted and non-ASCII names."""
+    names = rnd.sample(["A", "B", " C ", '"D, FC"', '"E ""e"""', "Fé"], rnd.randint(1, 6))
+    cells = [[("0" if i == j else rnd.choice(["0", "0", "1", "2.5"])) for j in range(len(names))] for i in range(len(names))]
+    return matrix_text(names, cells).encode()
+
+
+def table_base(rnd: random.Random) -> bytes:
+    t, decimals = random_table(np.random.default_rng(rnd.randrange(2**32)))
+    return emit_table(t, TableFormat.CSV, decimals).encode()
+
+
+def league_lines(kind: str, n: int) -> list[str]:
+    """The lines of a valid file of each kind, with n data rows."""
+    if kind == "matches":
+        return ["home,away,outcome"] + [f"T{i},U{i},{'HAD'[i % 3]}" for i in range(n)]
+    if kind == "matrix":
+        names = [f"T{i}" for i in range(n)]
+        cells = [",".join("0" if i == j else str((i + j) % 3) for j in range(n)) for i in range(n)]
+        return [",".join(names)] + [f"{name},{row}" for name, row in zip(names, cells)]
+    return ["rank,team,score"] + [f"{i + 1},T{i},{n - i}.5" for i in range(n)]
+
+
+def open_quote(line: str, at_last_field: bool) -> str:
+    """The line with a quote opened before its last field, or before its second."""
+    head, _, rest = line.rpartition(",") if at_last_field else line.partition(",")
+    return f'{head},"{rest}'
+
+
+LONG_FIELD = "x" * (csv.field_size_limit() + 1)
+PARSERS = {
+    "matches": (lambda text: [(m.team_a, m.team_b, m.outcome) for m in parse_matches(text)], per_line_matches),
+    "matrix": (parse_matrix, per_line_matrix),
+    "table": (parse_table, per_line_table),
+}
+
+
+class TestOneReader:
+    """Every CSV parser reads through ``io._rows`` and agrees with a per-line read."""
+
+    @pytest.mark.parametrize("kind, seed, base, bases", [
+        ("matrix", 2010, DATA_DIR / "epl_2010_11_adjacency.csv", matrix_base),
+        ("table", 2011, DATA_DIR / "epl_2010_11_official_points.csv", table_base),
+    ])
+    def test_agrees_with_the_per_line_reader_on_mutated_files(self, kind, seed, base, bases):
+        data = base.read_bytes()
+        parse, reference = PARSERS[kind]
+        outcomes = {"ok": 0, "error": 0}
+        for case, text in mutation_pool(seed, [bases, lambda rnd: data]):
+            got = parsed(parse, text)
+            assert got == parsed(reference, text), f"case {case}: {text!r}"
+            outcomes["error" if isinstance(got, str) else "ok"] += 1
+        # most mutations break a matrix or a table, yet each outcome is drawn
+        assert min(outcomes.values()) > 25, outcomes
+
+    # lines -> lines, and what a per-line read gives: None parses, else the error's start
+    CASES = [
+        pytest.param(lambda ls: [open_quote(ls[0], True)] + ls[1:], None, id="quote on the last header field"),
+        pytest.param(lambda ls: ['"' + ls[0]] + ls[1:], "line ", id="quote opening the header"),
+        pytest.param(lambda ls: ls[:2] + [open_quote(ls[2], False)] + ls[3:], "line 3: expected ", id="quote mid-row"),
+        pytest.param(lambda ls: ls[:2] + [open_quote(ls[2], True)] + ls[3:], None, id="quote on a last field"),
+        pytest.param(lambda ls: [LONG_FIELD + ls[0]] + ls[1:], "line 1: field larger than field limit", id="long field on line 1"),
+        pytest.param(lambda ls: ls[:2] + [LONG_FIELD + ls[2]] + ls[3:], "line 3: field larger than field limit", id="long field on a data line"),
+    ]
+
+    @pytest.mark.parametrize("kind", PARSERS)
+    @pytest.mark.parametrize("edit, expected", CASES)
+    def test_open_quotes_and_long_fields(self, kind, edit, expected):
+        parse, reference = PARSERS[kind]
+        text = "\n".join(edit(league_lines(kind, 4))) + "\n"
+        got = parsed(parse, text)
+        assert got == parsed(reference, text)
+        if expected is None:
+            assert not isinstance(got, str), got
+        else:
+            assert isinstance(got, str) and got.startswith(expected), got
+
+    @pytest.mark.parametrize("kind, n", [("matches", 12_000), ("matrix", 300), ("table", 12_000)])
+    @pytest.mark.parametrize("at_last_field", [True, False])
+    def test_open_quote_before_more_than_the_field_limit(self, kind, n, at_last_field):
+        # csv joins every line after the quote into one field, which
+        # overflows the limit; the line still reads by itself
+        lines = league_lines(kind, n)
+        lines[2] = open_quote(lines[2], at_last_field)
+        text = "\n".join(lines) + "\n"
+        assert len("\n".join(lines[3:])) > csv.field_size_limit()
+        parse, reference = PARSERS[kind]
+        got = parsed(parse, text)
+        assert got == parsed(reference, text)
+        assert isinstance(got, str) != at_last_field, got
