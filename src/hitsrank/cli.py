@@ -8,7 +8,8 @@ one thread. Error paths write nothing to stdout.
 Exit codes: 0 success, 2 usage error (bad flags, unreadable file,
 mismatched team sets), 3 parse error, 4 degenerate graph (no edges),
 5 non-convergence when --strict-convergence is set (otherwise it is a
-warning on stderr).
+warning on stderr). A converged run whose top eigenvalue is tied warns
+on stderr too.
 """
 
 from __future__ import annotations
@@ -297,6 +298,9 @@ def _run_hits(m: AdjacencyMatrix, args: argparse.Namespace) -> HitsResult:
         if args.strict_convergence:
             raise CliError(message, EXIT_NO_CONVERGENCE)
         print(f"warning: {message}", file=sys.stderr)
+    elif result.stalled:
+        message = "the weights are not unique; these project W^T 1 onto the tied eigenspace"
+        print(f"warning: tied top eigenvalue: {message}", file=sys.stderr)
     return result
 
 

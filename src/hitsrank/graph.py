@@ -6,6 +6,8 @@ winning team, so successful teams accumulate heavy columns. A win puts
 column; a draw puts ``draw_weight`` (default 1) in both directions.
 Repeated fixtures accumulate additively, which keeps every column sum
 equal to the points the column's team earned from the encoded matches.
+One encoder, ``_encode``, turns matches into team indices and outcome
+codes, whether they come as MatchRecords or as rows of match-list text.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-import numpy.typing as npt
 
 
 def _checked(
@@ -62,7 +63,7 @@ def _self_play(name: str) -> str:
     return f"a team cannot play itself: {name!r}"
 
 
-def _bad_entry(w: npt.NDArray[np.float64]) -> tuple[int, int, str] | None:
+def _bad_entry(w: np.typing.NDArray[np.float64]) -> tuple[int, int, str] | None:
     """First entry in row-major order that breaks a matrix rule, as (row, column, message)."""
     bad = ~((w >= 0.0) & (w < math.inf))
     np.fill_diagonal(bad, bad.diagonal() | (w.diagonal() != 0.0))
@@ -151,7 +152,7 @@ class AdjacencyMatrix:
     """
 
     index: TeamIndex
-    w: npt.NDArray[np.float64]
+    w: np.typing.NDArray[np.float64]
 
     def __post_init__(self) -> None:
         try:
@@ -174,48 +175,92 @@ class AdjacencyMatrix:
         return len(self.index)
 
 
-# an outcome column holds i for _OUTCOMES[i], seen from the home side (team_a)
+# an outcome column holds i for _OUTCOMES[i], seen from the home side
+# (team_a); a match list writes it as the letter i of _CODE
 _OUTCOMES = tuple(Outcome)
-_CODE = {outcome: i for i, outcome in enumerate(_OUTCOMES)}
+_CODE = {"H": 0, "A": 1, "D": 2}
+_LETTER = dict(zip(_OUTCOMES, _CODE))
 
 
 class _Columns(NamedTuple):
     """Matches as columns: teams in first-appearance order, then home, away and outcome code per match."""
 
     index: TeamIndex
-    home: npt.NDArray[np.intp]
-    away: npt.NDArray[np.intp]
-    code: npt.NDArray[np.intp]
+    home: np.typing.NDArray[np.intp]
+    away: np.typing.NDArray[np.intp]
+    code: np.typing.NDArray[np.intp]
 
-    @classmethod
-    def of(cls, names: Iterable[str], home: list[int], away: list[int], code: list[int]) -> _Columns:
-        return cls(TeamIndex(tuple(names)), *(np.array(c, dtype=np.intp) for c in (home, away, code)))
-
-    def sides(self) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp], npt.NDArray[np.bool_]]:
+    def sides(
+        self,
+    ) -> tuple[np.typing.NDArray[np.intp], np.typing.NDArray[np.intp], np.typing.NDArray[np.bool_]]:
         """Winner, loser and drawn per match; a draw lists the home side as its winner."""
-        away_wins = self.code == _CODE[Outcome.B_WINS]
+        away_wins = self.code == _CODE["A"]
         winner = np.where(away_wins, self.away, self.home)
         loser = np.where(away_wins, self.home, self.away)
-        return winner, loser, self.code == _CODE[Outcome.DRAW]
+        return winner, loser, self.code == _CODE["D"]
 
 
-def _encode(matches: Iterable[MatchRecord]) -> _Columns:
-    """The columns of match records. This is the one reader of a record's names and outcome.
+def _record_rows(matches: Iterable[MatchRecord]) -> Iterator[tuple[str, str, str]]:
+    """The (team_a, team_b, outcome letter) row of each record, for ``_encode``.
 
     Raises:
         TypeError: if an element of ``matches`` is not a MatchRecord.
     """
-    pos: dict[str, int] = {}
-    home: list[int] = []
-    away: list[int] = []
-    code: list[int] = []
     for rec in matches:
         if not isinstance(rec, MatchRecord):
             raise TypeError(f"expected MatchRecord, got {type(rec).__name__}")
-        home.append(pos.setdefault(rec.team_a, len(pos)))
-        away.append(pos.setdefault(rec.team_b, len(pos)))
-        code.append(_CODE[rec.outcome])
-    return _Columns.of(pos, home, away, code)
+        yield rec.team_a, rec.team_b, _LETTER[rec.outcome]
+
+
+def _encode(
+    rows: Iterable[Sequence[str]],
+    error: Callable[[str, int], Exception] = lambda message, row: ValueError(f"match {row}: {message}"),
+) -> _Columns:
+    """The columns of (home, away, outcome letter) rows, checked row by row in order.
+
+    The one encoder of matches: match-list text (``io``) and MatchRecords
+    (``_record_rows``) both reach the team index and outcome codes here.
+    Each row is checked for its field count, outcome letter, names and
+    self-play, in that order, so the first broken row is the one
+    reported: ``_encode`` raises ``error(message, row)``, rows counted
+    from 1, a ValueError unless ``io`` makes it a ParseError of its line.
+    Fields are trimmed; a name is checked when it is first seen.
+    """
+    pos: dict[str, int] = {}  # trimmed name -> team index
+    team: dict[str, int] = {}  # field as read -> team index
+    outcome: dict[str, int] = {}  # field as read -> outcome code
+    home: list[int] = []
+    away: list[int] = []
+    code: list[int] = []
+
+    def team_of(field: str, row_no: int) -> int:
+        name = field.strip()
+        if name not in pos:
+            if problem := _bad_name(name):
+                raise error(problem, row_no)
+            pos[name] = len(pos)
+        team[field] = pos[name]
+        return pos[name]
+
+    for row_no, row in enumerate(rows, start=1):
+        if len(row) != 3:
+            raise error(f"expected 3 fields, got {len(row)}", row_no)
+        h, a, c = row
+        if (k := outcome.get(c)) is None:
+            letter = c.strip()
+            if letter not in _CODE:
+                raise error(f"unknown outcome {letter!r}, expected H, A or D", row_no)
+            k = outcome[c] = _CODE[letter]
+        if (i := team.get(h)) is None:
+            i = team_of(h, row_no)
+        if (j := team.get(a)) is None:
+            j = team_of(a, row_no)
+        if i == j:
+            raise error(_self_play(h.strip()), row_no)
+        home.append(i)
+        away.append(j)
+        code.append(k)
+    return _Columns(TeamIndex(tuple(pos)), *(np.array(c, dtype=np.intp) for c in (home, away, code)))
 
 
 def _adjacency(columns: _Columns, win_weight: float, draw_weight: float) -> AdjacencyMatrix:
@@ -263,7 +308,7 @@ def build_adjacency(
     """
     win_weight = _checked("win_weight", win_weight, 0)
     draw_weight = _checked("draw_weight", draw_weight, 0)
-    return _adjacency(_encode(matches), win_weight, draw_weight)
+    return _adjacency(_encode(_record_rows(matches)), win_weight, draw_weight)
 
 
 def transpose(m: AdjacencyMatrix) -> AdjacencyMatrix:
@@ -271,7 +316,7 @@ def transpose(m: AdjacencyMatrix) -> AdjacencyMatrix:
     return AdjacencyMatrix(m.index, m.w.T)
 
 
-def from_named_matrix(names: Sequence[str], values: npt.ArrayLike) -> AdjacencyMatrix:
+def from_named_matrix(names: Sequence[str], values: np.typing.ArrayLike) -> AdjacencyMatrix:
     """Wrap pre-aggregated weights verbatim under the given team names.
 
     Use this for weight matrices whose aggregation rule is external to

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.typing as npt
 
 from hitsrank.graph import AdjacencyMatrix, _checked
 
@@ -73,7 +72,7 @@ class WeightVector:
     array is read-only.
     """
 
-    values: npt.NDArray[np.float64]
+    values: np.typing.NDArray[np.float64]
     kind: VectorKind
 
     def __post_init__(self) -> None:
@@ -145,15 +144,15 @@ def _disagree(lam_a: float, lam_h: float) -> bool:
     return abs(lam_a - lam_h) > 1e-9 * max(lam_a, lam_h)
 
 
-def _norm(x: npt.NDArray[np.float64]) -> float:
+def _norm(x: np.typing.NDArray[np.float64]) -> float:
     """np.linalg.norm of a real vector, by its own formula, without its per-call overhead."""
     return math.sqrt(x.dot(x))
 
 
 def _rayleigh(
-    w: npt.NDArray[np.float64],
-    a: npt.NDArray[np.float64],
-    h: npt.NDArray[np.float64],
+    w: np.typing.NDArray[np.float64],
+    a: np.typing.NDArray[np.float64],
+    h: np.typing.NDArray[np.float64],
     norm_h: float,
     exponent: int,
 ) -> tuple[float, float, float]:
@@ -171,12 +170,12 @@ def _rayleigh(
     return _norm(gh - norm_h * a) / norm_h, lam_a, lam_h
 
 
-def authority_gram(m: AdjacencyMatrix) -> npt.NDArray[np.float64]:
+def authority_gram(m: AdjacencyMatrix) -> np.typing.NDArray[np.float64]:
     """A^T A: symmetric positive semidefinite, couples teams by shared victims."""
     return m.w.T @ m.w
 
 
-def hub_gram(m: AdjacencyMatrix) -> npt.NDArray[np.float64]:
+def hub_gram(m: AdjacencyMatrix) -> np.typing.NDArray[np.float64]:
     """A A^T: symmetric positive semidefinite, couples teams by shared conquerors."""
     return m.w @ m.w.T
 

@@ -5,9 +5,10 @@ an optional leading BOM; LF, CRLF or CR end a line and nothing else
 does; each record is one line, with trimmed fields. One CSV reader,
 ``_rows``, reads every line of all three formats, header included, so
 an open quote ends with its line and the field limit holds in each.
-Every parse failure raises ParseError carrying a 1-based line (and
-column where it is known); parsers never raise anything else on
-malformed text.
+The rows of a match list go to ``graph._encode``, the one encoder of
+matches, which MatchRecords reach too. Every parse failure raises
+ParseError carrying a 1-based line (and column where it is known);
+parsers never raise anything else on malformed text.
 """
 
 from __future__ import annotations
@@ -22,21 +23,17 @@ from typing import Any, Iterator
 import numpy as np
 
 from hitsrank.graph import (
-    _CODE,
     _OUTCOMES,
     AdjacencyMatrix,
     MatchRecord,
-    Outcome,
     TeamIndex,
     _bad_entry,
-    _bad_name,
     _checked,
     _Columns,
-    _self_play,
+    _encode,
 )
 from hitsrank.rank import ComparisonReport, Ordering, RankRow, RankTable, TableKind, _bad_row
 
-_OUTCOME_BY_CODE = {"H": Outcome.A_WINS, "A": Outcome.B_WINS, "D": Outcome.DRAW}
 _MATCH_HEADER = ["home", "away", "outcome"]
 _TABLE_HEADER = ["rank", "team", "score"]
 _TIE_NOTE = "# ties share the smaller rank (competition ranking)"
@@ -116,49 +113,12 @@ def _header(lines: list[str], header: list[str]) -> Iterator[list[str]]:
 
 
 def _match_columns(text: str) -> _Columns:
-    """The columns of a matches CSV, checked row by row in file order.
+    """The columns of a matches CSV: ``graph._encode`` of the rows after its header.
 
-    Each row is checked for its field count, outcome code, names and
-    self-play, in that order, so the first broken row is the one
-    reported. A name is checked when it is first seen.
+    A row that ``_encode`` refuses is a ParseError of its line.
     """
-    lines = _lines(text)
-    rows = _header(lines, _MATCH_HEADER)
-    pos: dict[str, int] = {}  # trimmed name -> team index
-    team: dict[str, int] = {}  # field as read -> team index
-    outcome: dict[str, int] = {}  # field as read -> outcome code
-    home: list[int] = []
-    away: list[int] = []
-    code: list[int] = []
-
-    def team_of(field: str, line_no: int) -> int:
-        name = field.strip()
-        if name not in pos:
-            if problem := _bad_name(name):
-                raise ParseError(problem, line=line_no)
-            pos[name] = len(pos)
-        team[field] = pos[name]
-        return pos[name]
-
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", line=line_no)
-        h, a, c = row
-        if (k := outcome.get(c)) is None:
-            letter = c.strip()
-            if letter not in _OUTCOME_BY_CODE:
-                raise ParseError(f"unknown outcome {letter!r}, expected H, A or D", line=line_no)
-            k = outcome[c] = _CODE[_OUTCOME_BY_CODE[letter]]
-        if (i := team.get(h)) is None:
-            i = team_of(h, line_no)
-        if (j := team.get(a)) is None:
-            j = team_of(a, line_no)
-        if i == j:
-            raise ParseError(_self_play(h.strip()), line=line_no)
-        home.append(i)
-        away.append(j)
-        code.append(k)
-    return _Columns.of(pos, home, away, code)
+    rows = _header(_lines(text), _MATCH_HEADER)
+    return _encode(rows, lambda message, row: ParseError(message, line=row + 1))
 
 
 def parse_matches(text: str) -> list[MatchRecord]:
@@ -387,6 +347,7 @@ def _member(obj: dict[str, Any], key: str, enum_type: type[enum.Enum]) -> Any:
 
 
 def _parse_table_json(text: str) -> RankTable:
+    # parse_table passes only text that starts with "{", which decodes to an object or not at all
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -394,8 +355,6 @@ def _parse_table_json(text: str) -> RankTable:
     except (ValueError, RecursionError) as exc:
         # an integer of more digits than Python converts, or nesting too deep
         raise ParseError(str(exc)) from None
-    if not isinstance(obj, dict):
-        raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     if "rows" not in obj:
         if "authority" in obj or "hub" in obj:
             raise ParseError("file holds multiple tables; emit a single table to compare")

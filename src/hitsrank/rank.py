@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from hitsrank.graph import MatchRecord, TeamIndex, _bad_name, _checked, _Columns, _encode
+from hitsrank.graph import MatchRecord, TeamIndex, _bad_name, _checked, _Columns, _encode, _record_rows
 from hitsrank.hits import VectorKind, WeightVector
 
 
@@ -99,10 +99,8 @@ def _bad_row(rows: Sequence[RankRow]) -> tuple[int, str, str] | None:
     return None
 
 
-def _competition_rows(
-    names: Sequence[str], scores: Sequence[float], ordering: Ordering
-) -> tuple[RankRow, ...]:
-    # sort per ordering, exact-score ties lexicographic by team name
+def _ranked(names: Sequence[str], scores: Sequence[float], ordering: Ordering, kind: TableKind) -> RankTable:
+    """The table of ``scores``: sorted per ``ordering``, exact-score ties lexicographic by name, competition ranks."""
     descending = ordering is Ordering.DESC_SCORE
     order = sorted(
         range(len(names)),
@@ -117,7 +115,7 @@ def _competition_rows(
             rank = position
             prev_score = score
         rows.append(RankRow(rank, names[i], score))
-    return tuple(rows)
+    return RankTable(rows, ordering, kind)
 
 
 def _check_weight(w: WeightVector, idx: TeamIndex, expected: VectorKind) -> None:
@@ -130,8 +128,7 @@ def _check_weight(w: WeightVector, idx: TeamIndex, expected: VectorKind) -> None
 def rank_authority(w: WeightVector, idx: TeamIndex) -> RankTable:
     """Rank teams by authority weight, best (largest) first."""
     _check_weight(w, idx, VectorKind.AUTHORITY)
-    rows = _competition_rows(idx.names, w.values.tolist(), Ordering.DESC_SCORE)
-    return RankTable(rows, Ordering.DESC_SCORE, TableKind.AUTHORITY)
+    return _ranked(idx.names, w.values.tolist(), Ordering.DESC_SCORE, TableKind.AUTHORITY)
 
 
 def rank_hub(
@@ -145,8 +142,7 @@ def rank_hub(
     """
     _check_weight(w, idx, VectorKind.HUB)
     ordering = Ordering.ASC_SCORE if order is HubOrder.BEST_TEAM_FIRST else Ordering.DESC_SCORE
-    rows = _competition_rows(idx.names, w.values.tolist(), ordering)
-    return RankTable(rows, ordering, TableKind.HUB)
+    return _ranked(idx.names, w.values.tolist(), ordering, TableKind.HUB)
 
 
 def points_table(
@@ -166,7 +162,7 @@ def points_table(
     """
     win_points = _checked("win_points", win_points)
     draw_points = _checked("draw_points", draw_points)
-    return _points(_encode(matches), win_points, draw_points)
+    return _points(_encode(_record_rows(matches)), win_points, draw_points)
 
 
 def _points(columns: _Columns, win_points: float, draw_points: float) -> RankTable:
@@ -177,8 +173,7 @@ def _points(columns: _Columns, win_points: float, draw_points: float) -> RankTab
     draws = np.bincount(winner[drawn], minlength=n) + np.bincount(loser[drawn], minlength=n)
     with np.errstate(over="ignore", invalid="ignore"):  # RankTable refuses a total that is not finite
         scores = win_points * wins + draw_points * draws
-    rows = _competition_rows(columns.index.names, scores.tolist(), Ordering.DESC_SCORE)
-    return RankTable(rows, Ordering.DESC_SCORE, TableKind.POINTS)
+    return _ranked(columns.index.names, scores.tolist(), Ordering.DESC_SCORE, TableKind.POINTS)
 
 
 class ComparisonRow(NamedTuple):

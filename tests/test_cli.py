@@ -28,6 +28,7 @@ SRC = str(DATA_DIR.parent / "src")
 # a field one character past the csv module's limit, and the error it gives
 LONG_FIELD = "x" * (csv.field_size_limit() + 1)
 FIELD_LIMIT_ERROR = f"field larger than field limit ({csv.field_size_limit()})"
+TIE_WARNING = "warning: tied top eigenvalue: the weights are not unique; these project W^T 1 onto the tied eigenspace\n"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -41,6 +42,19 @@ def child_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return env
+
+
+def tied_matrix_file(tmp_path) -> str:
+    """A 7-team matrix whose tied top eigenvalue the dense eigensolve finds and the run converges on."""
+    # two blocks share the top singular value c, and the next one, 1,
+    # keeps the sweeps slow until the dense eigensolve finds the tie
+    c = 1.0 + 1e-7
+    w = np.zeros((7, 7))
+    w[0, 1], w[1, 0] = c, 1.0
+    w[3:, 2] = c / 2.0
+    path = tmp_path / "tied.csv"
+    path.write_text(emit_matrix(from_named_matrix([f"t{i}" for i in range(7)], w)))
+    return str(path)
 
 
 class TestRankCommand:
@@ -165,19 +179,24 @@ class TestRankCommand:
         assert out == quiet_out
 
     def test_verbose_reports_a_tied_top_eigenvalue(self, capsys, tmp_path):
-        # two blocks share the top singular value c, and the next one, 1,
-        # keeps the sweeps slow until the dense eigensolve finds the tie
-        c = 1.0 + 1e-7
-        w = np.zeros((7, 7))
-        w[0, 1], w[1, 0] = c, 1.0
-        w[3:, 2] = c / 2.0
-        path = tmp_path / "tied.csv"
-        path.write_text(emit_matrix(from_named_matrix([f"t{i}" for i in range(7)], w)))
-        argv = ("rank", "--input", str(path), "--input-kind", "matrix", "--format", "json")
+        argv = ("rank", "--input", tied_matrix_file(tmp_path), "--input-kind", "matrix", "--format", "json")
         code, out, err = run(capsys, *argv, "--verbose")
         assert code == EXIT_OK
         assert "converged: True\nstalled: True\n" in err
+        assert err.endswith(f"\n{TIE_WARNING}")
         assert out == run(capsys, *argv)[1]
+
+    def test_a_converged_tie_warns_in_one_line(self, capsys, tmp_path):
+        argv = ("rank", "--input", tied_matrix_file(tmp_path), "--input-kind", "matrix")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, TIE_WARNING)
+        # stdout is the same as under --verbose
+        assert out == run(capsys, *argv, "--verbose")[1]
+        # a run stopped at the sweep that found the tie keeps its one unconverged message
+        unconverged = "did not converge within 50 iterations (stalled: near-degenerate principal eigenspace)\n"
+        assert run(capsys, *argv, "--max-iters", "50")[::2] == (EXIT_OK, f"warning: {unconverged}")
+        strict = run(capsys, *argv, "--max-iters", "50", "--strict-convergence")
+        assert strict == (EXIT_NO_CONVERGENCE, "", f"error: {unconverged}")
 
     def test_deterministic_output(self, capsys):
         args = ("rank", "--input", LEAGUE, "--input-kind", "matrix", "--format", "json")
@@ -294,6 +313,13 @@ class TestRankCommand:
         )
         assert code == EXIT_USAGE
         assert out == ""
+
+    def test_path_through_a_regular_file_cannot_be_read(self, capsys):
+        bad = f"{MINI}/x"
+        code, out, err = run(capsys, "rank", "--input", bad, "--input-kind", "matches")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: ")
 
     def test_usage_errors(self, capsys):
         code, _, _ = run(capsys, "rank", "--input-kind", "matches")

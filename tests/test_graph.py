@@ -23,6 +23,7 @@ from hitsrank import (
     sort_teams,
     transpose,
 )
+from hitsrank.graph import _encode
 
 
 class TestMatchRecord:
@@ -207,8 +208,23 @@ class TestBuildAdjacency:
             build_adjacency([], win_weight=float("inf"))
 
     def test_non_record_rejected(self):
-        with pytest.raises(TypeError):
-            build_adjacency([("A", "B", "H")])
+        for total in (build_adjacency, points_table):
+            with pytest.raises(TypeError, match="^expected MatchRecord, got tuple$"):
+                total([MatchRecord("A", "B", Outcome.DRAW), ("A", "B", "H")])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([("A", "B", "H"), ("A", "B")], "match 2: expected 3 fields, got 2"),
+            ([("A", "B", " h ")], "match 1: unknown outcome 'h', expected H, A or D"),
+            ([("A", "B", "D"), (" ", "B", "A")], "match 2: team names must be non-empty after trimming"),
+            ([(" A", "A ", "D")], "match 1: a team cannot play itself: 'A'"),
+        ],
+    )
+    def test_encoder_refuses_a_broken_row_by_its_number(self, rows, message):
+        # records never reach these refusals; match-list text maps them to a line
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _encode(rows)
 
     def test_all_draws_gives_symmetric_matrix(self):
         rng = np.random.default_rng(5)

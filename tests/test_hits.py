@@ -182,6 +182,19 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector(np.array([-0.6, 0.8]), VectorKind.HUB)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.eye(2), r"values must be a 1-D vector, got shape \(2, 2\)"),
+            (np.float64(1.0), r"values must be a 1-D vector, got shape \(\)"),
+            (np.array([0.6, math.nan]), "weights must be finite"),
+            (np.array([0.0, math.inf]), "weights must be finite"),
+        ],
+    )
+    def test_rejects_wrong_shape_or_non_finite(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightVector(values, VectorKind.AUTHORITY)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             WeightVector(np.array([1.0, 1.0]), VectorKind.HUB)
@@ -328,6 +341,24 @@ class TestHitsContracts:
             HitsResult(
                 authority=v,
                 hub=v,
+                authority_eigenvalue=1.0,
+                hub_eigenvalue=1.0,
+                iterations=1,
+                converged=True,
+            )
+
+    @pytest.mark.parametrize(
+        "hub_kind, hub_values, message",
+        [
+            (VectorKind.AUTHORITY, [1.0], "hub vector has the wrong kind"),
+            (VectorKind.HUB, [0.6, 0.8], "authority and hub vectors differ in length"),
+        ],
+    )
+    def test_result_rejects_a_wrong_hub(self, hub_kind, hub_values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            HitsResult(
+                authority=WeightVector(np.array([1.0]), VectorKind.AUTHORITY),
+                hub=WeightVector(np.array(hub_values), hub_kind),
                 authority_eigenvalue=1.0,
                 hub_eigenvalue=1.0,
                 iterations=1,

@@ -651,6 +651,10 @@ class TestParseTable:
         bad_team = {"rows": [{"rank": 1, "team": 7, "score": 1}]}
         with pytest.raises(ParseError):
             parse_table(json.dumps(bad_team))
+        with pytest.raises(ParseError, match="^'rows' must be an array$"):
+            parse_table('{"rows": {"rank": 1}}')
+        with pytest.raises(ParseError, match="^row 2: expected an object$"):
+            parse_table('{"rows": [{"rank": 1, "team": "A", "score": 1}, [2, "B", 0]]}')
 
     def test_json_unknown_kind(self):
         doc = {"kind": "mystery", "rows": [{"rank": 1, "team": "A", "score": 1}]}

@@ -64,6 +64,17 @@ class TestRankTable:
         with pytest.raises(ValueError):
             RankTable((RankRow(1, "A", math.inf),), Ordering.DESC_SCORE, TableKind.POINTS)
 
+    @pytest.mark.parametrize(
+        "ordering, kind, message",
+        [
+            ("desc_score", TableKind.POINTS, "ordering must be an Ordering, got str"),
+            (Ordering.DESC_SCORE, "points", "kind must be a TableKind or None, got str"),
+        ],
+    )
+    def test_ordering_and_kind_types_checked(self, ordering, kind, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            RankTable((RankRow(1, "A", 2.0),), ordering, kind)
+
     @pytest.mark.parametrize("team", ["", "  ", "\t"])
     def test_blank_team_rejected(self, team):
         # the same rule, and message, as TeamIndex
