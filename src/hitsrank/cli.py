@@ -19,10 +19,9 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from hitsrank.graph import AdjacencyMatrix, _adjacency, _checked, _Columns, sort_teams
-from hitsrank.hits import DegenerateInputError, HitsResult, SolverConfig, hits
 from hitsrank.io import (
     _MAX_DECIMALS,
     ParseError,
@@ -37,6 +36,9 @@ from hitsrank.io import (
     table_object,
 )
 from hitsrank.rank import HubOrder, _points, compare_rankings, rank_authority, rank_hub
+
+if TYPE_CHECKING:
+    from hitsrank.hits import HitsResult
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -281,6 +283,9 @@ def _match_matrix(args: argparse.Namespace) -> AdjacencyMatrix:
 
 
 def _run_hits(m: AdjacencyMatrix, args: argparse.Namespace) -> HitsResult:
+    # only rank loads the solver, and only rank and matrix, which build a matrix, load numpy
+    from hitsrank.hits import DegenerateInputError, SolverConfig, hits
+
     cfg = SolverConfig(tolerance=args.tol, max_iterations=args.max_iters)
     try:
         result = hits(m, cfg)

@@ -8,6 +8,9 @@ Repeated fixtures accumulate additively, which keeps every column sum
 equal to the points the column's team earned from the encoded matches.
 One encoder, ``_encode``, turns matches into team indices and outcome
 codes, whether they come as MatchRecords or as rows of match-list text.
+numpy loads only where a matrix is built or checked, so the encoder,
+the name and number rules and the team index serve ``points`` and
+``compare`` without it.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _checked(
@@ -65,6 +69,8 @@ def _self_play(name: str) -> str:
 
 def _bad_entry(w: np.typing.NDArray[np.float64]) -> tuple[int, int, str] | None:
     """First entry in row-major order that breaks a matrix rule, as (row, column, message)."""
+    import numpy as np
+
     bad = ~((w >= 0.0) & (w < math.inf))
     np.fill_diagonal(bad, bad.diagonal() | (w.diagonal() != 0.0))
     if not bad.any():
@@ -155,6 +161,8 @@ class AdjacencyMatrix:
     w: np.typing.NDArray[np.float64]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         try:
             w = np.array(self.w, dtype=np.float64)  # defensive copy
         except (TypeError, ValueError) as exc:
@@ -186,18 +194,9 @@ class _Columns(NamedTuple):
     """Matches as columns: teams in first-appearance order, then home, away and outcome code per match."""
 
     index: TeamIndex
-    home: np.typing.NDArray[np.intp]
-    away: np.typing.NDArray[np.intp]
-    code: np.typing.NDArray[np.intp]
-
-    def sides(
-        self,
-    ) -> tuple[np.typing.NDArray[np.intp], np.typing.NDArray[np.intp], np.typing.NDArray[np.bool_]]:
-        """Winner, loser and drawn per match; a draw lists the home side as its winner."""
-        away_wins = self.code == _CODE["A"]
-        winner = np.where(away_wins, self.away, self.home)
-        loser = np.where(away_wins, self.home, self.away)
-        return winner, loser, self.code == _CODE["D"]
+    home: list[int]
+    away: list[int]
+    code: list[int]
 
 
 def _record_rows(matches: Iterable[MatchRecord]) -> Iterator[tuple[str, str, str]]:
@@ -260,7 +259,7 @@ def _encode(
         home.append(i)
         away.append(j)
         code.append(k)
-    return _Columns(TeamIndex(tuple(pos)), *(np.array(c, dtype=np.intp) for c in (home, away, code)))
+    return _Columns(TeamIndex(tuple(pos)), home, away, code)
 
 
 def _adjacency(columns: _Columns, win_weight: float, draw_weight: float) -> AdjacencyMatrix:
@@ -269,8 +268,14 @@ def _adjacency(columns: _Columns, win_weight: float, draw_weight: float) -> Adja
     Raises:
         ValueError: if a sum overflows the float range.
     """
+    import numpy as np
+
     n = len(columns.index)
-    winner, loser, drawn = columns.sides()
+    home, away, code = (np.array(c, dtype=np.intp) for c in columns[1:])
+    away_wins = code == _CODE["A"]
+    winner = np.where(away_wins, away, home)  # a draw lists the home side as its winner
+    loser = np.where(away_wins, home, away)
+    drawn = code == _CODE["D"]
     # two events per match in file order: the points into the winner's
     # column, then a draw's points back (0 for a win), so each cell sums
     # its terms in the same order as accumulating match by match
@@ -334,6 +339,8 @@ def sort_teams(m: AdjacencyMatrix) -> AdjacencyMatrix:
 
     Useful for byte-stable output when the input match order varies.
     """
+    import numpy as np
+
     order = sorted(range(len(m.index)), key=lambda i: m.index.names[i])
     names = tuple(m.index.names[i] for i in order)
     return AdjacencyMatrix(TeamIndex(names), m.w[np.ix_(order, order)])

@@ -23,6 +23,8 @@ from hitsrank.graph import AdjacencyMatrix, _checked
 _WARMUP = 50
 # Top eigenvalues of A^T A within this relative gap of the largest count as tied.
 _TIE_GAP = 1e-10
+# Rounds the tie test of a converged sweep spends growing one component; a league's settles in one or two.
+_TIE_ROUNDS = 50
 
 
 class VectorKind(enum.Enum):
@@ -106,11 +108,10 @@ class HitsResult:
     agree to a relative 1e-9 whenever the run converged (the agreement
     check is skipped for best-effort results returned at the iteration
     cap). One beyond the float range reads ``inf`` (or 0 below it).
-    ``stalled`` marks a tied top eigenvalue: the dense eigensolve found
-    more than one eigenvalue of A^T A within a relative 1e-10 of the
-    largest, so the principal eigenvector is not unique and the weights
-    follow the convention that ``hits`` documents. A tie that the sweeps
-    settle before the eigensolve would run is not flagged.
+    ``stalled`` marks a tied top eigenvalue: more than one eigenvalue of
+    A^T A lies within a relative 1e-10 of the largest, so the principal
+    eigenvector is not unique and the weights follow the convention that
+    ``hits`` documents.
     """
 
     authority: WeightVector
@@ -199,6 +200,7 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
     resumes from there. Eigenvalues within a relative 1e-10 of the
     largest count as tied; then ``stalled`` is set, and the weights are
     that projection of the authority iterate begun from a uniform hub.
+    A run the sweeps settle alone is tested for a tie by ``_tied``.
     Deterministic for a fixed input and configuration.
 
     Raises:
@@ -218,7 +220,7 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
 
     a = h = np.full(n, 1.0 / math.sqrt(n))
     delta = math.inf
-    converged = stalled = False
+    converged = stalled = dense = False
     for iterations in range(1, cfg.max_iterations + 1):
         ta = w.T @ h
         norm_a = _norm(ta)
@@ -245,6 +247,7 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
         ):
             # at the contraction delta / prev_delta seen so far, the
             # log(tol / delta) / log(contraction) sweeps to go exceed n
+            dense = True
             vals, vecs = np.linalg.eigh(w.T @ w)
             top = vecs[:, vals[-1] - vals <= _TIE_GAP * vals[-1]]
             a = np.maximum(top @ (top.T @ a), 0.0)
@@ -254,6 +257,8 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
             h = th / norm_h
             stalled = top.shape[1] > 1
 
+    if converged and not dense:
+        stalled = _tied(w, a, norm_h * norm_h)
     _, authority_eigenvalue, hub_eigenvalue = _rayleigh(w, a, h, norm_h, exponent)
     return HitsResult(
         authority=WeightVector(a, VectorKind.AUTHORITY),
@@ -264,3 +269,34 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
         converged=converged,
         stalled=stalled,
     )
+
+
+def _tied(w: np.typing.NDArray[np.float64], a: np.typing.NDArray[np.float64], lam: float) -> bool:
+    """Whether lam, the top eigenvalue of w^T w that ``a`` converged to, is tied.
+
+    Link two columns of w when some row holds both. On each connected
+    component of that graph the top eigenvalue of w^T w is simple
+    (Perron-Frobenius), so a tie needs a second component whose top
+    eigenvalue reaches lam. The component of a's largest entry grows
+    through the rows it holds, by sums of nonnegative entries, which no
+    underflow turns to zero. Once it stops growing, the rest of ``a``
+    has a Rayleigh quotient at most the top eigenvalue of the components
+    it covers, so a quotient within a relative ``_TIE_GAP`` of lam is a
+    tie. A component still growing after ``_TIE_ROUNDS`` rounds is not
+    tested.
+    """
+    rows = w[:, a.argmax()] > 0.0
+    for _ in range(_TIE_ROUNDS):
+        part = w.T @ rows > 0.0
+        rest = a * ~part
+        if not rest.any():
+            return False
+        grown = w @ part > 0.0
+        if (grown == rows).all():
+            break
+        rows = grown
+    else:
+        return False
+    rest /= rest.max()  # where the iterate has all but died out, its square would underflow
+    wr = w @ rest
+    return wr.dot(wr) >= (1.0 - _TIE_GAP) * lam * rest.dot(rest)

@@ -8,7 +8,9 @@ an open quote ends with its line and the field limit holds in each.
 The rows of a match list go to ``graph._encode``, the one encoder of
 matches, which MatchRecords reach too. Every parse failure raises
 ParseError carrying a 1-based line (and column where it is known);
-parsers never raise anything else on malformed text.
+parsers never raise anything else on malformed text. numpy loads
+only when ``parse_matrix`` builds a matrix, so reading match lists and
+rank tables does without it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import json
 import math
 from io import StringIO
 from typing import Any, Iterator
-
-import numpy as np
 
 from hitsrank.graph import (
     _OUTCOMES,
@@ -129,11 +129,13 @@ def parse_matches(text: str) -> list[MatchRecord]:
     """
     index, *columns = _match_columns(text)
     names = index.names
-    return [MatchRecord(names[i], names[j], _OUTCOMES[k]) for i, j, k in zip(*(c.tolist() for c in columns))]
+    return [MatchRecord(names[i], names[j], _OUTCOMES[k]) for i, j, k in zip(*columns)]
 
 
 def parse_matrix(text: str) -> AdjacencyMatrix:
     """Parse a matrix CSV whose row order matches its header order."""
+    import numpy as np
+
     lines = _lines(text) or [""]
     rows = _rows(lines)
     names = tuple(f.strip() for f in next(rows))

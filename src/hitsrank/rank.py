@@ -6,19 +6,24 @@ has the smallest hub weight and the default hub presentation ranks
 ascending. The conventional points table (3 for a win, 1 for a draw) is
 provided for cross-checking: its scores equal the column sums of the
 default adjacency matrix built from the same matches.
+
+Nothing here loads numpy: ``points`` and ``compare`` run without it,
+and the weight vectors that ``rank_authority`` and ``rank_hub`` read
+come from ``hits``, which those two load when they are called.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-import numpy as np
+from hitsrank.graph import _CODE, MatchRecord, TeamIndex, _bad_name, _checked, _Columns, _encode, _record_rows
 
-from hitsrank.graph import MatchRecord, TeamIndex, _bad_name, _checked, _Columns, _encode, _record_rows
-from hitsrank.hits import VectorKind, WeightVector
+if TYPE_CHECKING:
+    from hitsrank.hits import VectorKind, WeightVector
 
 
 class TableKind(enum.Enum):
@@ -127,6 +132,8 @@ def _check_weight(w: WeightVector, idx: TeamIndex, expected: VectorKind) -> None
 
 def rank_authority(w: WeightVector, idx: TeamIndex) -> RankTable:
     """Rank teams by authority weight, best (largest) first."""
+    from hitsrank.hits import VectorKind
+
     _check_weight(w, idx, VectorKind.AUTHORITY)
     return _ranked(idx.names, w.values.tolist(), Ordering.DESC_SCORE, TableKind.AUTHORITY)
 
@@ -140,6 +147,8 @@ def rank_hub(
     opponents), so BEST_TEAM_FIRST sorts ascending. RAW_DESC gives the
     plain descending view of the weights themselves.
     """
+    from hitsrank.hits import VectorKind
+
     _check_weight(w, idx, VectorKind.HUB)
     ordering = Ordering.ASC_SCORE if order is HubOrder.BEST_TEAM_FIRST else Ordering.DESC_SCORE
     return _ranked(idx.names, w.values.tolist(), ordering, TableKind.HUB)
@@ -168,12 +177,17 @@ def points_table(
 def _points(columns: _Columns, win_points: float, draw_points: float) -> RankTable:
     """The points table of match columns, for points values already checked."""
     n = len(columns.index)
-    winner, loser, drawn = columns.sides()
-    wins = np.bincount(winner[~drawn], minlength=n)
-    draws = np.bincount(winner[drawn], minlength=n) + np.bincount(loser[drawn], minlength=n)
-    with np.errstate(over="ignore", invalid="ignore"):  # RankTable refuses a total that is not finite
-        scores = win_points * wins + draw_points * draws
-    return _ranked(columns.index.names, scores.tolist(), Ordering.DESC_SCORE, TableKind.POINTS)
+    wins, draws = [0] * n, [0] * n
+    away_win, draw = _CODE["A"], _CODE["D"]
+    for i, j, k in zip(*columns[1:]):
+        if k == draw:
+            draws[i] += 1
+            draws[j] += 1
+        else:
+            wins[j if k == away_win else i] += 1
+    # a total past the float range reads inf or nan, which RankTable refuses
+    scores = [win_points * w + draw_points * d for w, d in zip(wins, draws)]
+    return _ranked(columns.index.names, scores, Ordering.DESC_SCORE, TableKind.POINTS)
 
 
 class ComparisonRow(NamedTuple):
@@ -227,26 +241,41 @@ def compare_rankings(a: RankTable, b: RankTable) -> ComparisonReport:
 
 
 def _tau_b(x: Sequence[int], y: Sequence[int]) -> float:
-    """Kendall tau-b by counting every pair; NaN if n < 2 or a side is all tied.
+    """Kendall tau-b by Knight's merge sort, in O(n log n); NaN if n < 2 or a side is all tied.
 
-    The final division runs in the same order as scipy.stats.kendalltau,
-    so the result matches it to the last bit.
+    S, the tied pairs and n0 are exact integers, and the final division
+    runs in the same order as scipy.stats.kendalltau, so the result
+    matches it to the last bit.
     """
     n = len(x)
     n0 = n * (n - 1) // 2
-    sign_x = _pair_signs(x)
-    sign_y = _pair_signs(y)
-    # the sign matrices are antisymmetric, so each pair is counted twice
-    s = int(np.sum(sign_x * sign_y, dtype=np.int64)) // 2
-    ties_x = n0 - np.count_nonzero(sign_x) // 2
-    ties_y = n0 - np.count_nonzero(sign_y) // 2
+    ties_x, ties_y = _tied_pairs(x), _tied_pairs(y)
     if ties_x == n0 or ties_y == n0:
         return math.nan
+    # sorted by x, then y, a pair is discordant where y falls: an inversion;
+    # the concordant pairs are the rest, less the pairs tied in x or y
+    ys = [b for _, b in sorted(zip(x, y))]
+    s = n0 - ties_x - ties_y + _tied_pairs(zip(x, y)) - 2 * _merge_count(ys)[1]
     tau = s / math.sqrt(n0 - ties_x) / math.sqrt(n0 - ties_y)
     return min(1.0, max(-1.0, tau))
 
 
-def _pair_signs(v: Sequence[int]) -> np.ndarray:
-    # int8 sign(v[i] - v[j]) for every ordered pair
-    a = np.asarray(v)
-    return np.greater.outer(a, a).view(np.int8) - np.less.outer(a, a).view(np.int8)
+def _tied_pairs(values: Iterable[object]) -> int:
+    """The number of pairs among ``values`` that are equal."""
+    return sum(k * (k - 1) // 2 for k in Counter(values).values())
+
+
+def _merge_count(v: list[int]) -> tuple[list[int], int]:
+    """``v`` sorted, and its pairs i < j with v[i] > v[j], by merge sort."""
+    if len(v) < 2:
+        return v, 0
+    left, count_left = _merge_count(v[: len(v) // 2])
+    right, count_right = _merge_count(v[len(v) // 2 :])
+    merged, count, i = [], count_left + count_right, 0
+    for y in right:
+        while i < len(left) and left[i] <= y:
+            merged.append(left[i])
+            i += 1
+        count += len(left) - i  # the left values not yet merged all exceed y
+        merged.append(y)
+    return merged + left[i:], count

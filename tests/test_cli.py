@@ -198,6 +198,23 @@ class TestRankCommand:
         strict = run(capsys, *argv, "--max-iters", "50", "--strict-convergence")
         assert strict == (EXIT_NO_CONVERGENCE, "", f"error: {unconverged}")
 
+    def test_a_tie_the_sweeps_settle_warns(self, capsys, tmp_path):
+        # two unlinked copies of one conference, which the sweeps settle before sweep 50
+        a = random_weights(np.random.default_rng(3), 6)
+        z = np.zeros((6, 6))
+        path = tmp_path / "twins.csv"
+        path.write_text(emit_matrix(from_named_matrix([f"t{i:02d}" for i in range(12)], np.block([[a, z], [z, a]]))))
+        argv = ("rank", "--input", str(path), "--input-kind", "matrix", "--format", "json")
+        code, out, err = run(capsys, *argv, "--verbose")
+        assert code == EXIT_OK
+        assert "converged: True\nstalled: True\n" in err
+        assert err.endswith(f"\n{TIE_WARNING}")
+        assert run(capsys, *argv) == (EXIT_OK, out, TIE_WARNING)
+        # stdout holds the weights alone, and each team scores as its copy does
+        scores = {row["team"]: row["score"] for row in json.loads(out)["authority"]["rows"]}
+        for i in range(6):
+            assert scores[f"t{i:02d}"] == pytest.approx(scores[f"t{i + 6:02d}"], rel=0.0, abs=1e-15)
+
     def test_deterministic_output(self, capsys):
         args = ("rank", "--input", LEAGUE, "--input-kind", "matrix", "--format", "json")
         _, first, _ = run(capsys, *args)
@@ -650,6 +667,25 @@ class TestEntryPoints:
         # so python -m hitsrank can choose BLAS threads before numpy loads
         proc = python("-c", "import hitsrank, sys; print('numpy' in sys.modules)", env=child_env())
         assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("command", ["points", "compare-csv", "compare-json"])
+    def test_points_and_compare_load_no_numpy(self, capsys, tmp_path, command):
+        # only rank and matrix build a weight matrix, so only they pay numpy's start-up
+        for fmt in ("csv", "json"):
+            table = run(capsys, "rank", "--input", LEAGUE, "--input-kind", "matrix", "--which", "authority", "--format", fmt)[1]
+            (tmp_path / f"authority.{fmt}").write_text(table)
+        argv = {
+            "points": ["points", "--input", MINI],
+            "compare-csv": ["compare", OFFICIAL, str(tmp_path / "authority.csv"), "--format", "csv"],
+            "compare-json": ["compare", OFFICIAL, str(tmp_path / "authority.json"), "--format", "json"],
+        }[command]
+        code = (
+            "import sys; from hitsrank.__main__ import main; code = main(); "
+            "print([m for m in ('numpy', 'hitsrank.hits') if m in sys.modules], file=sys.stderr); sys.exit(code)"
+        )
+        proc = python("-c", code, *argv, env=child_env())
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "[]\n")
+        assert proc.stdout
 
     @pytest.mark.parametrize("first", ["hitsrank.io", "hitsrank.rank", "hitsrank.cli", "hitsrank.hits"])
     def test_hits_is_the_solver_in_every_import_order(self, first):

@@ -327,6 +327,21 @@ class TestHitsContracts:
         assert np.allclose(a, expected / np.linalg.norm(expected), atol=1e-8)
         assert np.allclose(res.hub.values, w @ a / np.linalg.norm(w @ a), atol=1e-12)
 
+    def test_stall_flag_on_a_tie_the_sweeps_settle(self):
+        # two unlinked copies of one conference tie the top eigenvalue
+        # exactly, and the sweeps settle before sweep 50, where the dense
+        # eigensolve would run
+        a = random_weights(np.random.default_rng(3), 6)
+        z = np.zeros((6, 6))
+        res = hits(adj(np.block([[a, z], [z, a]])))
+        assert res.converged and res.iterations < 50
+        assert res.stalled
+        # W^T 1 splits evenly between the copies, and so do the weights
+        assert np.allclose(res.authority.values[:6], res.authority.values[6:], rtol=0.0, atol=1e-15)
+        # a weaker copy leaves the top eigenvalue simple
+        weaker = hits(adj(np.block([[a, z], [z, 0.5 * a]])))
+        assert weaker.converged and not weaker.stalled
+
     def test_deterministic(self):
         a = hits(adj(FOUR_TEAM_EXTRA))
         b = hits(adj(FOUR_TEAM_EXTRA))

@@ -1,6 +1,7 @@
 """Ranking tables, points standings and rank comparison."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,28 @@ class TestRankHub:
         assert t.rows == (RankRow(1, "Solo", 1.0),)
 
 
+def random_scores(rng: np.random.Generator, n: int, levels: int) -> dict[str, float]:
+    """Scores of teams T0..T{n-1}, drawn from ``levels`` integers; one level ties every team."""
+    return {f"T{i}": float(rng.integers(0, levels)) for i in range(n)}
+
+
+def large_score_pairs(rng: np.random.Generator, n: int) -> list[tuple[dict[str, float], dict[str, float]]]:
+    """Pairs of score dicts over n teams: nearly distinct, heavily tied, one side all tied, reversed; then one team."""
+    pairs = [(random_scores(rng, n, a), random_scores(rng, n, b)) for a, b in ((n, n), (7, 3), (2, n), (1, n))]
+    distinct = random_scores(rng, n, n * n)
+    pairs.append((distinct, {team: -score for team, score in distinct.items()}))
+    pairs.append(({"T0": 1.0}, {"T0": 2.0}))
+    return pairs
+
+
+def tau_and_ranks(sa: dict[str, float], sb: dict[str, float]) -> tuple[float, list[int], list[int]]:
+    """compare_rankings' tau-b of the two score tables, then each table's ranks in team-name order."""
+    a = table_from_scores(sa, Ordering.DESC_SCORE)
+    b = table_from_scores(sb, Ordering.DESC_SCORE)
+    order = sorted(sa)
+    return compare_rankings(a, b).kendall_tau, [a.rank_of(t) for t in order], [b.rank_of(t) for t in order]
+
+
 def record_loop_points(
     records: list[MatchRecord], win_points: float, draw_points: float
 ) -> dict[str, float]:
@@ -299,44 +322,39 @@ class TestCompareRankings:
 
     def test_tau_matches_pair_count_reference(self):
         rng = np.random.default_rng(57)
-        checked = 0
-        while checked < 60:
+        # small integer scores so ties are common
+        cases = []
+        for _ in range(60):
             n = int(rng.integers(2, 9))
-            names = [f"T{i}" for i in range(n)]
-            # small integer scores so ties are common
-            sa = {t: float(rng.integers(0, 4)) for t in names}
-            sb = {t: float(rng.integers(0, 4)) for t in names}
-            a = table_from_scores(sa, Ordering.DESC_SCORE)
-            b = table_from_scores(sb, Ordering.DESC_SCORE)
-            report = compare_rankings(a, b)
-            order = sorted(names)
-            expected = tau_b_reference(
-                [a.rank_of(t) for t in order], [b.rank_of(t) for t in order]
-            )
+            cases.append((random_scores(rng, n, 4), random_scores(rng, n, 4)))
+        # hundreds of teams: nearly all distinct, heavily tied, one side all tied, reversed; then one team
+        cases += large_score_pairs(rng, 300)
+        for sa, sb in cases:
+            tau, ranks_a, ranks_b = tau_and_ranks(sa, sb)
+            expected = tau_b_reference(ranks_a, ranks_b)
             if math.isnan(expected):
-                assert math.isnan(report.kendall_tau)
+                assert math.isnan(tau)
             else:
-                assert report.kendall_tau == pytest.approx(expected, abs=1e-12)
-            checked += 1
+                assert tau == pytest.approx(expected, abs=1e-12)
 
     def test_tau_is_bit_identical_to_scipy(self):
         # compare prints repr(tau) in csv and json, so the last bit matters
         stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(91)
+        cases = []
         for _ in range(300):
             n = int(rng.integers(2, 40))
-            names = [f"T{i}" for i in range(n)]
             levels = int(rng.integers(1, n + 1))
-            sa = {t: float(rng.integers(0, levels)) for t in names}
-            sb = {t: float(rng.integers(0, n)) for t in names}
-            a = table_from_scores(sa, Ordering.DESC_SCORE)
-            b = table_from_scores(sb, Ordering.DESC_SCORE)
-            report = compare_rankings(a, b)
-            order = sorted(names)
-            ranks_a = [a.rank_of(t) for t in order]
-            ranks_b = [b.rank_of(t) for t in order]
-            expected = float(stats.kendalltau(ranks_a, ranks_b).statistic)
+            cases.append((random_scores(rng, n, levels), random_scores(rng, n, n)))
+        # far past the sizes the pair count above can check
+        cases += large_score_pairs(rng, 5000)
+        for sa, sb in cases:
+            tau, ranks_a, ranks_b = tau_and_ranks(sa, sb)
+            with warnings.catch_warnings():
+                # scipy warns that one team is too small a sample, and returns NaN
+                warnings.simplefilter("ignore")
+                expected = float(stats.kendalltau(ranks_a, ranks_b).statistic)
             if math.isnan(expected):
-                assert math.isnan(report.kendall_tau)
+                assert math.isnan(tau)
             else:
-                assert repr(report.kendall_tau) == repr(expected)
+                assert repr(tau) == repr(expected)
