@@ -55,9 +55,11 @@ def _checked(
 
 
 def _bad_name(name: str) -> str | None:
-    """Why a team name is refused, or None. A line break would split a record of the files."""
+    """Why a team name is refused, or None: each file must read it back as one trimmed field."""
     if not name.strip():
         return "team names must be non-empty after trimming"
+    if name != name.strip():
+        return f"team names must not start or end with whitespace, got {name!r}"
     if "\n" in name or "\r" in name:
         return f"team names must not hold a line break, got {name!r}"
     return None
@@ -115,7 +117,7 @@ class MatchRecord:
 
 @dataclass(frozen=True)
 class TeamIndex:
-    """Bijection between team names (unique, non-blank, no line break) and dense indices 0..n-1."""
+    """Bijection between team names (unique, non-blank, trimmed, no line break) and dense indices 0..n-1."""
 
     names: tuple[str, ...]
     _pos: dict[str, int] = field(init=False, repr=False, compare=False)

@@ -23,8 +23,6 @@ from hitsrank.graph import AdjacencyMatrix, _checked
 _WARMUP = 50
 # Top eigenvalues of A^T A within this relative gap of the largest count as tied.
 _TIE_GAP = 1e-10
-# Rounds the tie test of a converged sweep spends growing one component; a league's settles in one or two.
-_TIE_ROUNDS = 50
 
 
 class VectorKind(enum.Enum):
@@ -150,25 +148,13 @@ def _norm(x: np.typing.NDArray[np.float64]) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _rayleigh(
-    w: np.typing.NDArray[np.float64],
-    a: np.typing.NDArray[np.float64],
-    h: np.typing.NDArray[np.float64],
-    norm_h: float,
-    exponent: int,
-) -> tuple[float, float, float]:
-    """Relative residual ||A^T A a - lambda a|| / lambda, then a.(A^T A)a and h.(A A^T)h of A.
-
-    ``w`` is A times 2**-exponent and ``h`` is w a / ``norm_h``, so one
-    product, w^T h = w^T w a / norm_h, serves all three. An eigenvalue
-    beyond the float range reads inf.
-    """
-    gh = w.T @ h
+def _eigenvalues(norm_h: float, ta: np.typing.NDArray[np.float64], exponent: int) -> tuple[float, float]:
+    """a.(A^T A)a and h.(A A^T)h, or inf past the float range, from ||w a|| and w^T h, A = w * 2**exponent."""
     lam_a, lam_h = (
         math.ldexp(x, 2 * exponent) if math.frexp(x)[1] + 2 * exponent <= 1024 else math.inf
-        for x in (norm_h * norm_h, float(gh.dot(gh)))
+        for x in (norm_h * norm_h, float(ta.dot(ta)))
     )
-    return _norm(gh - norm_h * a) / norm_h, lam_a, lam_h
+    return lam_a, lam_h
 
 
 def authority_gram(m: AdjacencyMatrix) -> np.typing.NDArray[np.float64]:
@@ -219,10 +205,11 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
     tol = cfg.tolerance
 
     a = h = np.full(n, 1.0 / math.sqrt(n))
+    # w^T h: the next sweep's product, and w^T w a / norm_h for the residual
+    ta = w.T @ h
     delta = math.inf
     converged = stalled = dense = False
     for iterations in range(1, cfg.max_iterations + 1):
-        ta = w.T @ h
         norm_a = _norm(ta)
         if norm_a == 0.0:
             # unreachable for a nonzero matrix: h lies in range(A), which
@@ -234,12 +221,14 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
         if norm_h == 0.0:
             raise DegenerateGraphError("iteration collapsed to the zero vector")
         h_next = th / norm_h
+        ta = w.T @ h_next
 
         prev_delta, delta = delta, max(_norm(a_next - a), _norm(h_next - h))
         a, h = a_next, h_next
         if delta <= tol:
-            residual, lam_a, lam_h = _rayleigh(w, a, h, norm_h, exponent)
-            if residual <= tol and not _disagree(lam_a, lam_h):
+            # ||A^T A a - lambda a|| / lambda, with lambda = norm_h**2 on the scale of w
+            residual = _norm(ta - norm_h * a) / norm_h
+            if residual <= tol and not _disagree(*_eigenvalues(norm_h, ta, exponent)):
                 converged = True
                 break
         elif iterations == _WARMUP and (
@@ -255,11 +244,12 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
             th = w @ a
             norm_h = _norm(th)
             h = th / norm_h
+            ta = w.T @ h
             stalled = top.shape[1] > 1
 
     if converged and not dense:
         stalled = _tied(w, a, norm_h * norm_h)
-    _, authority_eigenvalue, hub_eigenvalue = _rayleigh(w, a, h, norm_h, exponent)
+    authority_eigenvalue, hub_eigenvalue = _eigenvalues(norm_h, ta, exponent)
     return HitsResult(
         authority=WeightVector(a, VectorKind.AUTHORITY),
         hub=WeightVector(h, VectorKind.HUB),
@@ -278,25 +268,24 @@ def _tied(w: np.typing.NDArray[np.float64], a: np.typing.NDArray[np.float64], la
     component of that graph the top eigenvalue of w^T w is simple
     (Perron-Frobenius), so a tie needs a second component whose top
     eigenvalue reaches lam. The component of a's largest entry grows
-    through the rows it holds, by sums of nonnegative entries, which no
-    underflow turns to zero. Once it stops growing, the rest of ``a``
-    has a Rayleigh quotient at most the top eigenvalue of the components
-    it covers, so a quotient within a relative ``_TIE_GAP`` of lam is a
-    tie. A component still growing after ``_TIE_ROUNDS`` rounds is not
-    tested.
+    from its newest columns to the rows they reach and back, over the
+    pattern of w's positive entries, so each row and column of that
+    pattern is read once, whatever the component's diameter. Once it
+    stops growing, the rest of ``a`` has a Rayleigh quotient at most the
+    top eigenvalue of the components it covers, so a quotient within a
+    relative ``_TIE_GAP`` of lam is a tie.
     """
-    rows = w[:, a.argmax()] > 0.0
-    for _ in range(_TIE_ROUNDS):
-        part = w.T @ rows > 0.0
+    positive = w > 0.0
+    part = held = np.zeros(len(a), dtype=bool)  # the component's columns, and the rows that hold them
+    new = np.arange(len(a)) == a.argmax()
+    while new.any():
+        part = part | new
         rest = a * ~part
         if not rest.any():
             return False
-        grown = w @ part > 0.0
-        if (grown == rows).all():
-            break
-        rows = grown
-    else:
-        return False
+        rows = positive[:, new].any(axis=1) & ~held
+        held = held | rows
+        new = positive[rows].any(axis=0) & ~part
     rest /= rest.max()  # where the iterate has all but died out, its square would underflow
     wr = w @ rest
     return wr.dot(wr) >= (1.0 - _TIE_GAP) * lam * rest.dot(rest)

@@ -20,7 +20,8 @@ import enum
 import json
 import math
 from io import StringIO
-from typing import Any, Iterator
+from itertools import chain
+from typing import Any, Iterable, Iterator, Sequence
 
 from hitsrank.graph import (
     _OUTCOMES,
@@ -199,7 +200,7 @@ def table_object(t: RankTable) -> dict[str, Any]:
     }
 
 
-def _csv_join(rows: list[list[str]]) -> str:
+def _csv_join(rows: Iterable[Sequence[str]]) -> str:
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
@@ -251,13 +252,12 @@ def _matrix_number(value: float) -> str:
 def emit_matrix(m: AdjacencyMatrix) -> str:
     """Serialize an adjacency matrix at full precision.
 
-    ``parse_matrix`` of the result reproduces the matrix exactly.
+    ``parse_matrix`` of the result reproduces the matrix exactly. The
+    text of one row at a time is held besides the output.
     """
-    names = list(m.index.names)
-    rows = [names]
-    for i, name in enumerate(names):
-        rows.append([name] + [_matrix_number(v) for v in m.w[i]])
-    return _csv_join(rows)
+    names = m.index.names
+    body = ([name, *map(_matrix_number, row.tolist())] for name, row in zip(names, m.w))
+    return _csv_join(chain([names], body))
 
 
 def emit_comparison(report: ComparisonReport, format: TableFormat, decimals: int = 3) -> str:

@@ -58,7 +58,9 @@ class RankTable:
     rank skips (1, 2, 2, 4). Tables parsed from external files keep
     their ranks and row order as given, because foreign tie-break rules
     (goal difference and the like) cannot be reconstructed from scores
-    alone; ``kind`` is None for such tables.
+    alone; ``kind`` is None for such tables. Nothing is coerced: a rank
+    that is no integer, a team that is no str or a score that is no real
+    number raises TypeError (numpy scalars pass, bools do not).
     """
 
     rows: tuple[RankRow, ...]
@@ -66,7 +68,12 @@ class RankTable:
     kind: TableKind | None
 
     def __post_init__(self) -> None:
-        rows = tuple(RankRow(int(r[0]), str(r[1]), float(r[2])) for r in self.rows)
+        checked = []
+        for rank, team, score in self.rows:
+            if not isinstance(team, str):
+                raise TypeError(f"team must be a str, got {type(team).__name__}")
+            checked.append(RankRow(_checked("rank", rank, integer=True), team, _checked("score", score)))
+        rows = tuple(checked)
         object.__setattr__(self, "rows", rows)
         if not isinstance(self.ordering, Ordering):
             raise TypeError(f"ordering must be an Ordering, got {type(self.ordering).__name__}")

@@ -94,6 +94,19 @@ def random_weights(rng: np.random.Generator, n: int) -> np.ndarray:
     return w
 
 
+def ladder(n: int) -> np.ndarray:
+    """A league of n teams in which team j lost to teams j-1 and j-2, and team 1 lost to team 0 by 100.
+
+    Row j holds columns j-1 and j-2, so the teams that won a match form
+    one component of the tie test, a path n - 2 links long.
+    """
+    w = np.zeros((n, n))
+    for j in range(1, n):
+        w[j, max(j - 2, 0) : j] = 3.0
+    w[1, 0] = 100.0
+    return w
+
+
 def random_matches(
     rng: np.random.Generator, max_teams: int = 8, max_matches: int = 30
 ) -> list[MatchRecord]:

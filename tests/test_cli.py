@@ -8,8 +8,9 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import DATA_DIR, random_weights
+from conftest import DATA_DIR, ladder, random_weights
 
+import hitsrank
 from hitsrank import emit_matrix, from_named_matrix
 from hitsrank.cli import (
     EXIT_DEGENERATE,
@@ -198,12 +199,18 @@ class TestRankCommand:
         strict = run(capsys, *argv, "--max-iters", "50", "--strict-convergence")
         assert strict == (EXIT_NO_CONVERGENCE, "", f"error: {unconverged}")
 
-    def test_a_tie_the_sweeps_settle_warns(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "block",
+        [random_weights(np.random.default_rng(3), 6), ladder(60)],
+        ids=["conference", "ladder"],
+    )
+    def test_a_tie_the_sweeps_settle_warns(self, capsys, tmp_path, block):
         # two unlinked copies of one conference, which the sweeps settle before sweep 50
-        a = random_weights(np.random.default_rng(3), 6)
-        z = np.zeros((6, 6))
+        k = len(block)
+        z = np.zeros((k, k))
         path = tmp_path / "twins.csv"
-        path.write_text(emit_matrix(from_named_matrix([f"t{i:02d}" for i in range(12)], np.block([[a, z], [z, a]]))))
+        names = [f"t{i:03d}" for i in range(2 * k)]
+        path.write_text(emit_matrix(from_named_matrix(names, np.block([[block, z], [z, block]]))))
         argv = ("rank", "--input", str(path), "--input-kind", "matrix", "--format", "json")
         code, out, err = run(capsys, *argv, "--verbose")
         assert code == EXIT_OK
@@ -212,8 +219,8 @@ class TestRankCommand:
         assert run(capsys, *argv) == (EXIT_OK, out, TIE_WARNING)
         # stdout holds the weights alone, and each team scores as its copy does
         scores = {row["team"]: row["score"] for row in json.loads(out)["authority"]["rows"]}
-        for i in range(6):
-            assert scores[f"t{i:02d}"] == pytest.approx(scores[f"t{i + 6:02d}"], rel=0.0, abs=1e-15)
+        for i in range(k):
+            assert scores[names[i]] == pytest.approx(scores[names[i + k]], rel=0.0, abs=1e-15)
 
     def test_deterministic_output(self, capsys):
         args = ("rank", "--input", LEAGUE, "--input-kind", "matrix", "--format", "json")
@@ -667,6 +674,12 @@ class TestEntryPoints:
         # so python -m hitsrank can choose BLAS threads before numpy loads
         proc = python("-c", "import hitsrank, sys; print('numpy' in sys.modules)", env=child_env())
         assert proc.stdout == "False\n"
+
+    def test_package_lookup(self):
+        # the public names load on first use; any other name is an AttributeError
+        with pytest.raises(AttributeError, match="^module 'hitsrank' has no attribute 'nope'$"):
+            hitsrank.nope
+        assert set(hitsrank.__all__) <= set(dir(hitsrank))
 
     @pytest.mark.parametrize("command", ["points", "compare-csv", "compare-json"])
     def test_points_and_compare_load_no_numpy(self, capsys, tmp_path, command):

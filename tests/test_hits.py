@@ -15,6 +15,7 @@ from conftest import (
     MINI_HUB,
     MINI_MATRIX,
     gram_spectrum_ratio,
+    ladder,
     mini_matches,
     principal_eigh,
     random_weights,
@@ -327,19 +328,25 @@ class TestHitsContracts:
         assert np.allclose(a, expected / np.linalg.norm(expected), atol=1e-8)
         assert np.allclose(res.hub.values, w @ a / np.linalg.norm(w @ a), atol=1e-12)
 
-    def test_stall_flag_on_a_tie_the_sweeps_settle(self):
+    @pytest.mark.parametrize(
+        "block",
+        [random_weights(np.random.default_rng(3), 6), ladder(60)],
+        ids=["conference", "ladder"],
+    )
+    def test_stall_flag_on_a_tie_the_sweeps_settle(self, block):
         # two unlinked copies of one conference tie the top eigenvalue
         # exactly, and the sweeps settle before sweep 50, where the dense
-        # eigensolve would run
-        a = random_weights(np.random.default_rng(3), 6)
-        z = np.zeros((6, 6))
-        res = hits(adj(np.block([[a, z], [z, a]])))
+        # eigensolve would run; the ladder's component is 58 links long
+        k = len(block)
+        z = np.zeros((k, k))
+        res = hits(adj(np.block([[block, z], [z, block]])))
         assert res.converged and res.iterations < 50
         assert res.stalled
         # W^T 1 splits evenly between the copies, and so do the weights
-        assert np.allclose(res.authority.values[:6], res.authority.values[6:], rtol=0.0, atol=1e-15)
-        # a weaker copy leaves the top eigenvalue simple
-        weaker = hits(adj(np.block([[a, z], [z, 0.5 * a]])))
+        assert np.allclose(res.authority.values[:k], res.authority.values[k:], rtol=0.0, atol=1e-15)
+        # one copy, or a weaker second copy, leaves the top eigenvalue simple
+        assert not hits(adj(block)).stalled
+        weaker = hits(adj(np.block([[block, z], [z, 0.5 * block]])))
         assert weaker.converged and not weaker.stalled
 
     def test_deterministic(self):

@@ -426,6 +426,21 @@ class TestEmitMatrix:
     def test_empty_matrix(self):
         assert emit_matrix(build_adjacency([])) == "\n"
 
+    def test_names_read_back_as_written(self):
+        # quoting, inner whitespace and a form feed inside a name all survive
+        names = ("Alpha, FC", 'The "Reds"', "x\fy", "A  B")
+        m = AdjacencyMatrix(TeamIndex(names), 1.0 - np.eye(4))
+        parsed = parse_matrix(emit_matrix(m))
+        assert parsed.index.names == names
+        assert np.array_equal(parsed.w, m.w)
+        rows = tuple(RankRow(i + 1, name, 4.0 - i) for i, name in enumerate(names))
+        t = RankTable(rows, Ordering.DESC_SCORE, None)
+        for fmt in (TableFormat.CSV, TableFormat.JSON):
+            assert parse_table(emit_table(t, fmt)).rows == t.rows
+        # the readers trim, so a name with whitespace at an end is refused before it is written
+        with pytest.raises(ValueError, match="team names must not start or end with whitespace, got ' A'"):
+            AdjacencyMatrix(TeamIndex((" A", "B")), np.zeros((2, 2)))
+
 
 class TestEmitTable:
     def test_csv_mini_points(self):

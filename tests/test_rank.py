@@ -97,6 +97,41 @@ class TestRankTable:
         with pytest.raises(ValueError, match=message):
             MatchRecord("C", team, Outcome.DRAW)
 
+    @pytest.mark.parametrize("team", [" A", "A ", "\tA", "A\u2028"])
+    def test_untrimmed_team_rejected(self, team):
+        # the readers trim every field, so such a name would not read back as written
+        message = "team names must not start or end with whitespace"
+        with pytest.raises(ValueError, match=message):
+            RankTable((RankRow(1, team, 1.0),), Ordering.DESC_SCORE, None)
+        with pytest.raises(ValueError, match=message):
+            TeamIndex((team, "B"))
+        # a MatchRecord trims first, as documented
+        assert MatchRecord(team, "B", Outcome.DRAW).team_a == team.strip()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((1.7, "A", 1.0), "rank must be an integer, got float"),
+            ((True, "A", 1.0), "rank must be an integer, got bool"),
+            (("1", "A", 1.0), "rank must be an integer, got str"),
+            ((1, None, 1.0), "team must be a str, got NoneType"),
+            ((1, b"A", 1.0), "team must be a str, got bytes"),
+            ((1, "A", "3"), "score must be a real number, got str"),
+            ((1, "A", True), "score must be a real number, got bool"),
+            ((1, "A", 1j), "score must be a real number, got complex"),
+        ],
+    )
+    def test_row_types_checked(self, row, message):
+        # nothing is coerced: 1.7 is no rank 1, None no team "None"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            RankTable((RankRow(1, "Z", 2.0), row), Ordering.DESC_SCORE, None)
+
+    def test_numpy_scalars_accepted(self):
+        rows = ((np.int64(1), "A", np.float64(2.5)), (np.int32(2), "B", np.float32(1.5)))
+        t = RankTable(rows, Ordering.DESC_SCORE, None)
+        assert t.rows == (RankRow(1, "A", 2.5), RankRow(2, "B", 1.5))
+        assert [type(field) for row in t.rows for field in row] == [int, str, float] * 2
+
     def test_unknown_team_lookup(self):
         t = table_from_scores({"A": 1.0}, Ordering.DESC_SCORE)
         with pytest.raises(KeyError, match="unknown team: 'Z'"):
