@@ -21,15 +21,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
-from hitsrank.graph import AdjacencyMatrix, _adjacency, _checked, _Columns, sort_teams
+from hitsrank.graph import AdjacencyMatrix, TeamIndex, _adjacency, _alphabetical, _checked, _Columns, _matrix
 from hitsrank.io import (
     _MAX_DECIMALS,
     ParseError,
     TableFormat,
     _lines,
     _match_columns,
+    _matrix_csv,
     emit_comparison,
-    emit_matrix,
     emit_table,
     parse_matrix,
     parse_table,
@@ -277,13 +277,14 @@ def _summed(total: Callable[[_Columns, float, float], _T], args: argparse.Namesp
         raise CliError(f"--win-weight/--draw-weight too large for {args.input}: {exc}") from None
 
 
-def _match_matrix(args: argparse.Namespace) -> AdjacencyMatrix:
-    m = _summed(_adjacency, args)
-    return sort_teams(m) if args.sort_teams else m
+def _match_rows(args: argparse.Namespace) -> tuple[TeamIndex, list[list[float]]]:
+    """The team index and weight rows of the matches file at ``--input``, sorted by name under ``--sort-teams``."""
+    index, rows = _summed(_adjacency, args)
+    return _alphabetical(index, rows) if args.sort_teams else (index, rows)
 
 
 def _run_hits(m: AdjacencyMatrix, args: argparse.Namespace) -> HitsResult:
-    # only rank loads the solver, and only rank and matrix, which build a matrix, load numpy
+    # only rank loads the solver, and only rank, which builds an AdjacencyMatrix, loads numpy
     from hitsrank.hits import DegenerateInputError, SolverConfig, hits
 
     cfg = SolverConfig(tolerance=args.tol, max_iterations=args.max_iters)
@@ -311,7 +312,7 @@ def _run_hits(m: AdjacencyMatrix, args: argparse.Namespace) -> HitsResult:
 
 def _cmd_rank(args: argparse.Namespace) -> str:
     if args.input_kind == "matches":
-        m = _match_matrix(args)
+        m = _matrix(*_match_rows(args))
     elif args.match_only:
         raise CliError("--win-weight, --draw-weight and --sort-teams apply only to --input-kind matches")
     else:
@@ -336,7 +337,8 @@ def _cmd_points(args: argparse.Namespace) -> str:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> str:
-    return emit_matrix(_match_matrix(args))
+    index, rows = _match_rows(args)
+    return _matrix_csv(index.names, rows)
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:

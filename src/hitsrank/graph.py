@@ -7,10 +7,13 @@ column; a draw puts ``draw_weight`` (default 1) in both directions.
 Repeated fixtures accumulate additively, which keeps every column sum
 equal to the points the column's team earned from the encoded matches.
 One encoder, ``_encode``, turns matches into team indices and outcome
-codes, whether they come as MatchRecords or as rows of match-list text.
-numpy loads only where a matrix is built or checked, so the encoder,
-the name and number rules and the team index serve ``points`` and
-``compare`` without it.
+codes, whether they come as MatchRecords or as rows of match-list text,
+and one accumulator, ``_adjacency``, sums them into plain row lists.
+Those rows are what ``hitsrank matrix`` prints and what an
+AdjacencyMatrix is made from, so numpy loads only where an
+AdjacencyMatrix is built or checked: the encoder, the accumulator, the
+name and number rules and the team index serve ``points``, ``matrix``
+and ``compare`` without it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -180,6 +184,19 @@ class AdjacencyMatrix:
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
+    @classmethod
+    def _adopt(cls, index: TeamIndex, w: np.typing.NDArray[np.float64]) -> AdjacencyMatrix:
+        """The matrix over ``w`` itself, with no copy and no second check.
+
+        Only for a float64 array of shape (n, n) that the package has just
+        built, has checked against the matrix rules, and holds nowhere else.
+        """
+        m = object.__new__(cls)
+        w.setflags(write=False)
+        object.__setattr__(m, "index", index)
+        object.__setattr__(m, "w", w)
+        return m
+
     @property
     def n(self) -> int:
         return len(self.index)
@@ -264,29 +281,52 @@ def _encode(
     return _Columns(TeamIndex(tuple(pos)), home, away, code)
 
 
-def _adjacency(columns: _Columns, win_weight: float, draw_weight: float) -> AdjacencyMatrix:
-    """The loser-to-winner matrix of match columns, for weights already checked.
+def _adjacency(columns: _Columns, win_weight: float, draw_weight: float) -> tuple[TeamIndex, list[list[float]]]:
+    """The team index and loser-to-winner rows of match columns, for weights already checked.
+
+    The one accumulator: each match adds its points to its cells in file
+    order, a win ``win_weight`` at (loser, winner) and a draw
+    ``draw_weight`` at (away, home) and then at (home, away), so each
+    cell sums its terms in match order.
 
     Raises:
         ValueError: if a sum overflows the float range.
     """
+    n = len(columns.index)
+    rows = [[0.0] * n for _ in range(n)]
+    home_win, away_win = _CODE["H"], _CODE["A"]
+    for i, j, k in zip(*columns[1:]):
+        if k == home_win:  # the commonest outcome first
+            rows[j][i] += win_weight
+        elif k == away_win:
+            rows[i][j] += win_weight
+        else:
+            rows[j][i] += draw_weight
+            rows[i][j] += draw_weight
+    if any(math.inf in row for row in rows):
+        raise ValueError("matrix entries must be finite, got inf")
+    return columns.index, rows
+
+
+def _name_order(index: TeamIndex) -> tuple[list[int], TeamIndex]:
+    """The team positions in name order, and the team index in that order."""
+    names = index.names
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return order, TeamIndex(tuple(names[i] for i in order))
+
+
+def _alphabetical(index: TeamIndex, rows: Sequence[Sequence[float]]) -> tuple[TeamIndex, list[list[float]]]:
+    """The team index and rows with teams, rows and columns alike, in name order."""
+    order, sorted_index = _name_order(index)
+    return sorted_index, [[row[j] for j in order] for row in map(rows.__getitem__, order)]
+
+
+def _matrix(index: TeamIndex, rows: list[list[float]]) -> AdjacencyMatrix:
+    """The AdjacencyMatrix of rows the package has built and checked: its one array."""
     import numpy as np
 
-    n = len(columns.index)
-    home, away, code = (np.array(c, dtype=np.intp) for c in columns[1:])
-    away_wins = code == _CODE["A"]
-    winner = np.where(away_wins, away, home)  # a draw lists the home side as its winner
-    loser = np.where(away_wins, home, away)
-    drawn = code == _CODE["D"]
-    # two events per match in file order: the points into the winner's
-    # column, then a draw's points back (0 for a win), so each cell sums
-    # its terms in the same order as accumulating match by match
-    cells = np.column_stack((loser * n + winner, winner * n + loser)).ravel()
-    weights = np.column_stack(
-        (np.where(drawn, draw_weight, win_weight), np.where(drawn, draw_weight, 0.0))
-    ).ravel()
-    w = np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
-    return AdjacencyMatrix(columns.index, w)
+    n = len(index)
+    return AdjacencyMatrix._adopt(index, np.fromiter(chain.from_iterable(rows), np.float64, n * n).reshape(n, n))
 
 
 def build_adjacency(
@@ -315,7 +355,7 @@ def build_adjacency(
     """
     win_weight = _checked("win_weight", win_weight, 0)
     draw_weight = _checked("draw_weight", draw_weight, 0)
-    return _adjacency(_encode(_record_rows(matches)), win_weight, draw_weight)
+    return _matrix(*_adjacency(_encode(_record_rows(matches)), win_weight, draw_weight))
 
 
 def transpose(m: AdjacencyMatrix) -> AdjacencyMatrix:
@@ -343,6 +383,5 @@ def sort_teams(m: AdjacencyMatrix) -> AdjacencyMatrix:
     """
     import numpy as np
 
-    order = sorted(range(len(m.index)), key=lambda i: m.index.names[i])
-    names = tuple(m.index.names[i] for i in order)
-    return AdjacencyMatrix(TeamIndex(names), m.w[np.ix_(order, order)])
+    order, index = _name_order(m.index)
+    return AdjacencyMatrix._adopt(index, m.w[np.ix_(order, order)])

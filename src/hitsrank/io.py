@@ -4,13 +4,14 @@ README "File formats" gives the schemas and rules. Files are UTF-8 with
 an optional leading BOM; LF, CRLF or CR end a line and nothing else
 does; each record is one line, with trimmed fields. One CSV reader,
 ``_rows``, reads every line of all three formats, header included, so
-an open quote ends with its line and the field limit holds in each.
-The rows of a match list go to ``graph._encode``, the one encoder of
-matches, which MatchRecords reach too. Every parse failure raises
-ParseError carrying a 1-based line (and column where it is known);
-parsers never raise anything else on malformed text. numpy loads
-only when ``parse_matrix`` builds a matrix, so reading match lists and
-rank tables does without it.
+an open quote ends with its line and the field limit holds in each. It
+hands rows over in batches, and checks once per batch that each row
+took one line. The rows of a match list go to ``graph._encode``, the
+one encoder of matches, which MatchRecords reach too. Every parse
+failure raises ParseError carrying a 1-based line (and column where it
+is known); parsers never raise anything else on malformed text. numpy
+loads only when ``parse_matrix`` builds a matrix, so reading match
+lists and rank tables and writing a matrix's text do without it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import enum
 import json
 import math
 from io import StringIO
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Iterable, Iterator, Sequence
 
 from hitsrank.graph import (
@@ -40,6 +41,13 @@ _TABLE_HEADER = ["rank", "team", "score"]
 _TIE_NOTE = "# ties share the smaller rank (competition ranking)"
 # every float is exact to 1074 places after the point (the smallest is 2**-1074)
 _MAX_DECIMALS = 1074
+# a batch of _rows: at most _BATCH rows, well under the 700 new
+# containers that start a young-generation garbage collection, so one
+# finds few live rows to move on; and about _BATCH_CHARS characters,
+# judged by the first data line, so a batch of a wide matrix's rows holds
+# the fields of a few rows, not of 256
+_BATCH = 256
+_BATCH_CHARS = 1 << 14
 
 
 class TableFormat(enum.Enum):
@@ -77,28 +85,42 @@ def _rows(lines: list[str]) -> Iterator[list[str]]:
     """The CSV fields of every line, header included, one row per line; a caller trims them.
 
     The one CSV reader, for match lists, matrices and rank tables alike.
-    One ``csv.reader`` runs over all the lines while each row takes one
-    line. An unclosed quote makes it join the lines that follow into one
-    row, or overflow the field limit; from that row on, each line is
-    read by itself, as a line holds one record, and a field past the
-    csv module's limit is a ParseError of its line. This keeps the cost
+    One ``csv.reader`` runs over all the lines, a batch of rows at a
+    time, while each row of a batch takes one line. An unclosed quote
+    makes it join the lines that follow into one row, or overflow the
+    field limit; from the start of that batch on, each line is read by
+    itself, as a line holds one record, and a field past the csv
+    module's limit is a ParseError of its line. This keeps the cost
     linear: no line is read more than twice.
     """
+    return chain.from_iterable(_batches(lines))
+
+
+def _batches(lines: list[str]) -> Iterator[list[list[str]]]:
+    """The rows of ``_rows`` in lists, so that no generator resumes per row."""
+    size = min(_BATCH, 1 + _BATCH_CHARS // (1 + len(lines[1]))) if len(lines) > 1 else _BATCH
     reader = csv.reader(lines)
     rows = 0
     try:
-        for row in reader:
-            if reader.line_num != rows + 1:
+        while batch := list(islice(reader, size)):
+            if reader.line_num != rows + len(batch):
                 break
-            rows += 1
-            yield row
+            rows += len(batch)
+            yield batch
     except csv.Error:
         pass
+    batch = []
     for i in range(rows, len(lines)):
         try:
-            yield next(csv.reader([lines[i]]))
+            batch.append(next(csv.reader([lines[i]])))
         except csv.Error as exc:
+            # the rows before go first, as a caller may refuse one of them
+            yield batch
             raise ParseError(str(exc), line=i + 1) from None
+        if len(batch) == size:
+            yield batch
+            batch = []
+    yield batch
 
 
 def _header(lines: list[str], header: list[str]) -> Iterator[list[str]]:
@@ -149,23 +171,25 @@ def parse_matrix(text: str) -> AdjacencyMatrix:
         raise ParseError(f"expected {n} matrix rows, found {found}", line=min(found, n) + 2)
     w = np.empty((n, n))
     for r, row in enumerate(rows):
-        fields = [f.strip() for f in row]
-        if len(fields) != n + 1:
-            message = f"expected {n + 1} fields (team name plus {n} entries), got {len(fields)}"
+        if len(row) != n + 1:
+            message = f"expected {n + 1} fields (team name plus {n} entries), got {len(row)}"
             raise ParseError(message, line=r + 2)
-        if fields[0] != index.names[r]:
-            message = f"row {r + 1} is {fields[0]!r}, expected {index.names[r]!r}"
+        if (name := row[0].strip()) != index.names[r]:
+            message = f"row {r + 1} is {name!r}, expected {index.names[r]!r}"
             raise ParseError(message + " (rows must follow header order)", line=r + 2, column=1)
-        row = fields[1:]
-        for c, field in enumerate(row):
-            try:
-                row[c] = float(field)
-            except ValueError:
-                raise ParseError(f"not a number: {field!r}", line=r + 2, column=c + 2) from None
-        w[r] = row
+        # float ignores the whitespace around a number, as strip does,
+        # except \x1c-\x1f: a row that fails is read again, trimmed field by field
+        try:
+            w[r] = list(map(float, row[1:]))
+        except ValueError:
+            for c, field in enumerate(row[1:]):
+                try:
+                    w[r, c] = float(field.strip())
+                except ValueError:
+                    raise ParseError(f"not a number: {field.strip()!r}", line=r + 2, column=c + 2) from None
     if bad := _bad_entry(w):
         raise ParseError(bad[2], line=bad[0] + 2, column=bad[1] + 2)
-    return AdjacencyMatrix(index, w)
+    return AdjacencyMatrix._adopt(index, w)
 
 
 def _check_decimals(decimals: int) -> int:
@@ -244,20 +268,30 @@ def emit_table(t: RankTable, format: TableFormat, decimals: int = 3) -> str:
 
 
 def _matrix_number(value: float) -> str:
-    if float(value).is_integer() and abs(value) <= 1e15:
+    if value.is_integer() and abs(value) <= 1e15:
         return str(int(value))
-    return repr(float(value))
+    return repr(value)
+
+
+def _matrix_csv(names: Sequence[str], rows: Iterable[list[float]]) -> str:
+    """The matrix CSV of float rows under their names, converting each distinct value of a row once.
+
+    The text of one row at a time is held besides the output.
+    """
+
+    def cells(name: str, row: list[float]) -> list[str]:
+        text = {value: _matrix_number(value) for value in set(row)}
+        return [name, *map(text.__getitem__, row)]
+
+    return _csv_join(chain([names], map(cells, names, rows)))
 
 
 def emit_matrix(m: AdjacencyMatrix) -> str:
     """Serialize an adjacency matrix at full precision.
 
-    ``parse_matrix`` of the result reproduces the matrix exactly. The
-    text of one row at a time is held besides the output.
+    ``parse_matrix`` of the result reproduces the matrix exactly.
     """
-    names = m.index.names
-    body = ([name, *map(_matrix_number, row.tolist())] for name, row in zip(names, m.w))
-    return _csv_join(chain([names], body))
+    return _matrix_csv(m.index.names, (row.tolist() for row in m.w))
 
 
 def emit_comparison(report: ComparisonReport, format: TableFormat, decimals: int = 3) -> str:

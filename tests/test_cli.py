@@ -8,10 +8,10 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import DATA_DIR, ladder, random_weights
+from conftest import DATA_DIR, ladder, random_matches, random_weights
 
 import hitsrank
-from hitsrank import emit_matrix, from_named_matrix
+from hitsrank import Outcome, build_adjacency, emit_matrix, from_named_matrix, sort_teams
 from hitsrank.cli import (
     EXIT_DEGENERATE,
     EXIT_NO_CONVERGENCE,
@@ -490,6 +490,20 @@ class TestMatrixCommand:
         _, out, _ = run(capsys, "matrix", "--input", str(f))
         assert out == "X,Y\nX,0,0\nY,6,0\n"
 
+    @pytest.mark.parametrize("win, draw", [(0.1, 1 / 3), (1 / 3, 0.1)])
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_same_text_as_the_library(self, capsys, tmp_path, win, draw, sort):
+        rng = np.random.default_rng(29)
+        letter = {Outcome.A_WINS: "H", Outcome.B_WINS: "A", Outcome.DRAW: "D"}
+        f = tmp_path / "matches.csv"
+        # the last list is empty, so its file holds only the header
+        for records in [random_matches(rng, max_teams=7, max_matches=80) for _ in range(10)] + [[]]:
+            f.write_text("home,away,outcome\n" + "".join(f"{r.team_a},{r.team_b},{letter[r.outcome]}\n" for r in records))
+            m = build_adjacency(records, win, draw)
+            argv = ["matrix", "--input", str(f), "--win-weight", repr(win), "--draw-weight", repr(draw)]
+            expected = emit_matrix(sort_teams(m) if sort else m)
+            assert run(capsys, *argv, *(["--sort-teams"] if sort else [])) == (EXIT_OK, expected, "")
+
     def test_no_matches_gives_header_only(self, capsys, tmp_path):
         f = tmp_path / "none.csv"
         f.write_text("home,away,outcome\n")
@@ -681,14 +695,16 @@ class TestEntryPoints:
             hitsrank.nope
         assert set(hitsrank.__all__) <= set(dir(hitsrank))
 
-    @pytest.mark.parametrize("command", ["points", "compare-csv", "compare-json"])
+    @pytest.mark.parametrize("command", ["points", "matrix", "matrix-sorted", "compare-csv", "compare-json"])
     def test_points_and_compare_load_no_numpy(self, capsys, tmp_path, command):
-        # only rank and matrix build a weight matrix, so only they pay numpy's start-up
+        # only rank builds an AdjacencyMatrix, so only rank pays numpy's start-up
         for fmt in ("csv", "json"):
             table = run(capsys, "rank", "--input", LEAGUE, "--input-kind", "matrix", "--which", "authority", "--format", fmt)[1]
             (tmp_path / f"authority.{fmt}").write_text(table)
         argv = {
             "points": ["points", "--input", MINI],
+            "matrix": ["matrix", "--input", MINI],
+            "matrix-sorted": ["matrix", "--input", MINI, "--sort-teams"],
             "compare-csv": ["compare", OFFICIAL, str(tmp_path / "authority.csv"), "--format", "csv"],
             "compare-json": ["compare", OFFICIAL, str(tmp_path / "authority.json"), "--format", "json"],
         }[command]

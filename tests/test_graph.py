@@ -19,6 +19,7 @@ from hitsrank import (
     build_adjacency,
     emit_table,
     from_named_matrix,
+    parse_matrix,
     points_table,
     sort_teams,
     transpose,
@@ -116,6 +117,19 @@ class TestAdjacencyMatrix:
         m = AdjacencyMatrix(TeamIndex(()), np.zeros((0, 0)))
         assert m.n == 0
 
+    def test_constructor_copies_and_leaves_the_callers_array_alone(self):
+        w = np.array([[0.0, 1.0], [0.0, 0.0]])
+        m = AdjacencyMatrix(TeamIndex(("A", "B")), w)
+        assert w.flags.writeable and not np.shares_memory(m.w, w)
+        w[0, 1] = 5.0
+        assert m.w[0, 1] == 1.0
+
+    def test_built_matrices_are_read_only(self):
+        m = build_adjacency(mini_matches())
+        for built in (m, sort_teams(m), parse_matrix("A,B\nA,0,1\nB,2,0\n")):
+            with pytest.raises(ValueError):
+                built.w[0, 1] = 5.0
+
 
 def record_loop_adjacency(
     records: list[MatchRecord], win_weight: float, draw_weight: float
@@ -206,6 +220,12 @@ class TestBuildAdjacency:
     def test_non_finite_weights_rejected(self):
         with pytest.raises(ValueError):
             build_adjacency([], win_weight=float("inf"))
+
+    def test_sum_past_the_float_range_rejected(self):
+        twice = [MatchRecord("A", "B", Outcome.B_WINS)] * 2
+        with pytest.raises(ValueError, match="^matrix entries must be finite, got inf$"):
+            build_adjacency(twice, win_weight=1e308)
+        assert build_adjacency(twice[:1], win_weight=1e308).w[0, 1] == 1e308
 
     def test_non_record_rejected(self):
         for total in (build_adjacency, points_table):
@@ -358,6 +378,19 @@ class TestSortTeams:
 
     def test_empty(self):
         assert sort_teams(build_adjacency([])).n == 0
+
+    def test_single_team(self):
+        s = sort_teams(AdjacencyMatrix(TeamIndex(("A",)), [[0.0]]))
+        assert s.index.names == ("A",) and s.w.tolist() == [[0.0]]
+
+    def test_same_as_fancy_indexing(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            m = build_adjacency(random_matches(rng), win_weight=0.1, draw_weight=1 / 3)
+            order = np.argsort(m.index.names)
+            s = sort_teams(m)
+            assert s.index.names == tuple(sorted(m.index.names))
+            assert s.w.tobytes() == m.w[np.ix_(order, order)].tobytes()
 
 
 WIN = MatchRecord("A", "B", Outcome.A_WINS)

@@ -33,7 +33,7 @@ from hitsrank import (
     table_object,
 )
 from hitsrank.graph import _OUTCOMES, _bad_entry
-from hitsrank.io import _lines, _match_columns, _table
+from hitsrank.io import _BATCH, _BATCH_CHARS, _batches, _lines, _match_columns, _table
 
 # characters str.splitlines breaks at that are neither LF nor CR, so a
 # CSV field may hold them
@@ -393,6 +393,15 @@ class TestMatrixEntryRule:
                     AdjacencyMatrix(TeamIndex(tuple(names)), w)
                 assert exc.value.message == str(ref.value)
             assert (exc.value.line, exc.value.column) == (r + 2, c + 2)
+
+    @pytest.mark.parametrize("ch", [" ", "\t", "\x0c", "\x1c", "\x1f", "\x85", "\u3000"])
+    def test_entries_are_trimmed_of_every_whitespace(self, ch):
+        # float keeps \x1c-\x1f, which strip removes
+        m = parse_matrix(f"A,B\nA,{ch}0{ch},{ch}1.5\nB,2{ch},0\n")
+        assert m.w.tolist() == [[0.0, 1.5], [2.0, 0.0]]
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(f"A,B\nA,0,1\nB,{ch}2{ch},{ch}x{ch}\n")
+        assert (exc.value.line, exc.value.column, exc.value.message) == (3, 3, "not a number: 'x'")
 
     def test_format_error_on_a_later_row_comes_first(self):
         with pytest.raises(ParseError) as exc:
@@ -926,3 +935,56 @@ class TestOneReader:
         got = parsed(parse, text)
         assert got == parsed(reference, text)
         assert isinstance(got, str) != at_last_field, got
+
+    # lines, data row -> the lines with that row broken
+    DEFECTS = {
+        "quote on a last field": lambda ls, at: ls[:at] + [open_quote(ls[at], True)] + ls[at + 1 :],
+        "quote mid-row": lambda ls, at: ls[:at] + [open_quote(ls[at], False)] + ls[at + 1 :],
+        "long field": lambda ls, at: ls[:at] + [LONG_FIELD + ls[at]] + ls[at + 1 :],
+        "missing field": lambda ls, at: ls[:at] + [ls[at].rpartition(",")[0]] + ls[at + 1 :],
+    }
+
+    @pytest.mark.parametrize("kind, n", [("matches", 600), ("matrix", 520), ("table", 600)])
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_defects_at_batch_boundaries(self, kind, n, defect):
+        lines = league_lines(kind, n)
+        size = len(next(_batches(lines)))
+        # a batch takes _BATCH short lines, and fewer wide matrix rows
+        assert size == _BATCH if kind != "matrix" else 1 < size < 64, size
+        parse, reference = PARSERS[kind]
+        # the data rows around the first two boundaries of _BATCH rows, and of this file's batches
+        for at in sorted({255, 256, 257, 512, size - 1, size, size + 1, 2 * size}):
+            text = "\n".join(self.DEFECTS[defect](lines, at)) + "\n"
+            got = parsed(parse, text)
+            assert got == parsed(reference, text), at
+            assert isinstance(got, str) == (defect != "quote on a last field"), got
+
+    @pytest.mark.parametrize("kind, n", [("matches", 600), ("matrix", 100), ("table", 600)])
+    @pytest.mark.parametrize("unreadable", ["long field", "quote mid-row"])
+    def test_a_refused_row_comes_before_a_later_unreadable_line_of_its_batch(self, kind, n, unreadable):
+        lines = league_lines(kind, n)
+        size = len(next(_batches(lines)))
+        at = size + 2
+        # the refused row: an unknown outcome, a matrix entry or a score that is not a number
+        lines[at] = lines[at].rpartition(",")[0] + ",x"
+        lines = self.DEFECTS[unreadable](lines, at + 2)
+        text = "\n".join(lines) + "\n"
+        parse, reference = PARSERS[kind]
+        got = parsed(parse, text)
+        assert got == parsed(reference, text)
+        assert got.startswith((f"line {at + 1}: ", f"line {at + 1}, ")), got
+
+    @pytest.mark.parametrize("cell", [str, lambda k: repr(k + 1 / 3)], ids=["integer", "float"])
+    def test_wide_rows_come_a_few_at_a_time(self, cell):
+        names = [f"T{i}" for i in range(500)]
+        lines = [",".join(names)] + [
+            ",".join([name] + ["0" if i == j else cell((i + j) % 3) for j in range(500)])
+            for i, name in enumerate(names)
+        ]
+        start, widest = 0, 0
+        for batch in _batches(lines):
+            widest = max(widest, sum(map(len, lines[start : start + len(batch)])))
+            start += len(batch)
+        assert start == len(lines)
+        assert widest <= _BATCH_CHARS + max(map(len, lines)), widest
+
