@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
@@ -51,10 +50,13 @@ _T = TypeVar("_T")
 _HUB_ORDERS = {"best-first": HubOrder.BEST_TEAM_FIRST, "raw-desc": HubOrder.RAW_DESC}
 
 
-@dataclass(frozen=True)
 class CliError(Exception):
-    message: str
-    exit_code: int = EXIT_USAGE
+    """A failure that ends the command: ``message`` goes to stderr, ``exit_code`` is returned."""
+
+    def __init__(self, message: str, exit_code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.message = message
+        self.exit_code = exit_code
 
 
 def _number(

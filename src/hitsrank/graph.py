@@ -10,10 +10,10 @@ One encoder, ``_encode``, turns matches into team indices and outcome
 codes, whether they come as MatchRecords or as rows of match-list text,
 and one accumulator, ``_adjacency``, sums them into plain row lists.
 Those rows are what ``hitsrank matrix`` prints and what an
-AdjacencyMatrix is made from, so numpy loads only where an
-AdjacencyMatrix is built or checked: the encoder, the accumulator, the
-name and number rules and the team index serve ``points``, ``matrix``
-and ``compare`` without it.
+AdjacencyMatrix is made from (its constructor alone checks and freezes a
+matrix array), so numpy loads only where an AdjacencyMatrix is built or
+checked: the encoder, the accumulator, the name and number rules and the
+team index serve ``points``, ``matrix`` and ``compare`` without it.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class AdjacencyMatrix:
 
     Entry (i, j) holds the points team i has conceded toward team j.
     The diagonal is identically zero since a team never plays itself.
-    The underlying array is read-only after construction.
+    Every instance holds its own checked, read-only copy of the given array.
     """
 
     index: TeamIndex
@@ -183,19 +183,6 @@ class AdjacencyMatrix:
             raise ValueError(bad[2])
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-
-    @classmethod
-    def _adopt(cls, index: TeamIndex, w: np.typing.NDArray[np.float64]) -> AdjacencyMatrix:
-        """The matrix over ``w`` itself, with no copy and no second check.
-
-        Only for a float64 array of shape (n, n) that the package has just
-        built, has checked against the matrix rules, and holds nowhere else.
-        """
-        m = object.__new__(cls)
-        w.setflags(write=False)
-        object.__setattr__(m, "index", index)
-        object.__setattr__(m, "w", w)
-        return m
 
     @property
     def n(self) -> int:
@@ -322,11 +309,11 @@ def _alphabetical(index: TeamIndex, rows: Sequence[Sequence[float]]) -> tuple[Te
 
 
 def _matrix(index: TeamIndex, rows: list[list[float]]) -> AdjacencyMatrix:
-    """The AdjacencyMatrix of rows the package has built and checked: its one array."""
+    """The AdjacencyMatrix of ``len(index)`` rows of as many floats each."""
     import numpy as np
 
     n = len(index)
-    return AdjacencyMatrix._adopt(index, np.fromiter(chain.from_iterable(rows), np.float64, n * n).reshape(n, n))
+    return AdjacencyMatrix(index, np.fromiter(chain.from_iterable(rows), np.float64, n * n).reshape(n, n))
 
 
 def build_adjacency(
@@ -384,4 +371,4 @@ def sort_teams(m: AdjacencyMatrix) -> AdjacencyMatrix:
     import numpy as np
 
     order, index = _name_order(m.index)
-    return AdjacencyMatrix._adopt(index, m.w[np.ix_(order, order)])
+    return AdjacencyMatrix(index, m.w[np.ix_(order, order)])

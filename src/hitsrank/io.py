@@ -97,7 +97,7 @@ def _rows(lines: list[str]) -> Iterator[list[str]]:
 
 
 def _batches(lines: list[str]) -> Iterator[list[list[str]]]:
-    """The rows of ``_rows`` in lists, so that no generator resumes per row."""
+    """The rows of ``_rows`` in lists; only a line read by itself comes as a list of one."""
     size = min(_BATCH, 1 + _BATCH_CHARS // (1 + len(lines[1]))) if len(lines) > 1 else _BATCH
     reader = csv.reader(lines)
     rows = 0
@@ -109,18 +109,12 @@ def _batches(lines: list[str]) -> Iterator[list[list[str]]]:
             yield batch
     except csv.Error:
         pass
-    batch = []
     for i in range(rows, len(lines)):
         try:
-            batch.append(next(csv.reader([lines[i]])))
+            row = next(csv.reader([lines[i]]))
         except csv.Error as exc:
-            # the rows before go first, as a caller may refuse one of them
-            yield batch
             raise ParseError(str(exc), line=i + 1) from None
-        if len(batch) == size:
-            yield batch
-            batch = []
-    yield batch
+        yield [row]
 
 
 def _header(lines: list[str], header: list[str]) -> Iterator[list[str]]:
@@ -187,9 +181,11 @@ def parse_matrix(text: str) -> AdjacencyMatrix:
                     w[r, c] = float(field.strip())
                 except ValueError:
                     raise ParseError(f"not a number: {field.strip()!r}", line=r + 2, column=c + 2) from None
-    if bad := _bad_entry(w):
-        raise ParseError(bad[2], line=bad[0] + 2, column=bad[1] + 2)
-    return AdjacencyMatrix._adopt(index, w)
+    try:
+        return AdjacencyMatrix(index, w)
+    except ValueError:  # a broken entry, which the constructor only names: _bad_entry places it
+        r, c, message = _bad_entry(w)
+        raise ParseError(message, line=r + 2, column=c + 2) from None
 
 
 def _check_decimals(decimals: int) -> int:

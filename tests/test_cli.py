@@ -1,8 +1,11 @@
 """End-to-end command line behavior: outputs, diagnostics and exit codes."""
 
+import ast
+import contextlib
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +21,7 @@ from hitsrank.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
+    CliError,
     build_parser,
     main,
 )
@@ -684,6 +688,32 @@ class TestEntryPoints:
         assert proc.returncode == EXIT_OK
         assert proc.stdout == "[]\n"
 
+    def test_modules_import_no_scipy_and_numpy_only_in_hits(self):
+        # scipy and numpy.typing cost start-up time, so no module imports them
+        # when it loads; only rank loads numpy and the solver, so no module
+        # but hits.py imports either outside a function or a type checker's block
+        def imports(node, checking=False):
+            """(name, under ``if TYPE_CHECKING:``) of each import outside a function body."""
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Import):
+                    yield from ((alias.name, checking) for alias in child.names)
+                elif isinstance(child, ast.ImportFrom):
+                    yield from ((f"{child.module}.{alias.name}", checking) for alias in child.names)
+                elif isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                    yield from imports(ast.Module(child.body, []), True)
+                    yield from imports(ast.Module(child.orelse, []), checking)
+                elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    yield from imports(child, checking)
+
+        bad = [
+            f"{path.name}: {name}"
+            for path in sorted((DATA_DIR.parent / "src" / "hitsrank").glob("*.py"))
+            for name, checking in imports(ast.parse(path.read_text()))
+            if re.match(r"(scipy|numpy\.typing)(\.|$)", name)
+            or (path.name != "hits.py" and not checking and re.match(r"(numpy|hitsrank\.hits)(\.|$)", name))
+        ]
+        assert bad == []
+
     def test_package_import_loads_no_numpy(self):
         # so python -m hitsrank can choose BLAS threads before numpy loads
         proc = python("-c", "import hitsrank, sys; print('numpy' in sys.modules)", env=child_env())
@@ -761,3 +791,20 @@ class TestEntryPoints:
         argv = ("-m", "hitsrank", "rank", "--input", str(path), "--input-kind", "matrix", "--format", "json")
         default = python(*argv, env=unthreaded_env()).stdout
         assert default == python(*argv, env=unthreaded_env(OPENBLAS_NUM_THREADS="1")).stdout
+
+
+def test_cli_error_takes_a_traceback_and_notes():
+    # a context manager sets __traceback__ on an exception leaving it
+    # (Python 3.11+), and add_note sets __notes__; neither may turn an
+    # exit 2-5 into a traceback
+    @contextlib.contextmanager
+    def stage():
+        yield
+
+    with pytest.raises(CliError) as caught:
+        with stage():
+            raise CliError("bad input", EXIT_PARSE)
+    assert (caught.value.message, caught.value.exit_code) == ("bad input", EXIT_PARSE)
+    if sys.version_info >= (3, 11):
+        caught.value.add_note("while reading")
+        assert caught.value.__notes__ == ["while reading"]

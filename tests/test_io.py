@@ -32,6 +32,7 @@ from hitsrank import (
     TeamIndex,
     table_object,
 )
+from hitsrank.cli import EXIT_PARSE, main
 from hitsrank.graph import _OUTCOMES, _bad_entry
 from hitsrank.io import _BATCH, _BATCH_CHARS, _batches, _lines, _match_columns, _table
 
@@ -988,3 +989,60 @@ class TestOneReader:
         assert start == len(lines)
         assert widest <= _BATCH_CHARS + max(map(len, lines)), widest
 
+
+
+CSV_READER = csv.reader
+
+
+class NulRefusingReader:
+    """``csv.reader`` as Python 3.10 has it: a line holding NUL is a csv.Error, which 3.11 reads as a character."""
+
+    def __init__(self, lines, *args, **kwargs):
+        self._reader = CSV_READER(self._refusing(lines), *args, **kwargs)
+
+    @staticmethod
+    def _refusing(lines):
+        for line in lines:
+            if "\0" in line:
+                raise csv.Error("line contains NUL")
+            yield line
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._reader)
+
+    @property
+    def line_num(self):
+        return self._reader.line_num
+
+
+class TestNulOnPython310:
+    """A NUL that ``csv`` refuses is a ParseError of its line and exit 3, on any Python."""
+
+    @pytest.fixture(autouse=True)
+    def nul_refusing_csv(self, monkeypatch):
+        monkeypatch.setattr(csv, "reader", NulRefusingReader)
+
+    @pytest.mark.parametrize("kind", PARSERS)
+    @pytest.mark.parametrize("at", [2, 601], ids=["second data row", "past the first batch"])
+    def test_each_parser_names_the_line(self, kind, at):
+        lines = league_lines(kind, 601)
+        lines[at] += "\0"
+        with pytest.raises(ParseError) as caught:
+            PARSERS[kind][0]("\n".join(lines) + "\n")
+        assert str(caught.value) == f"line {at + 1}: line contains NUL"
+
+    @pytest.mark.parametrize("text, argv", [
+        ("home,away,outcome\nA,B,H\nB,A,D\0\n", ["rank", "--input-kind", "matches", "--input"]),
+        ("A,B\nA,0,1\nB,3\0,0\n", ["rank", "--input-kind", "matrix", "--input"]),
+        ("home,away,outcome\nA,B,H\nB,A,D\0\n", ["points", "--input"]),
+        ("rank,team,score\n1,A,3\n2,B\0,1\n", ["compare", str(DATA_DIR / "epl_2010_11_official_points.csv")]),
+    ], ids=["rank", "rank-matrix", "points", "compare"])
+    def test_cli_exits_3(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "nul.csv"
+        path.write_text(text)
+        assert main([*argv, str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: line 3: line contains NUL\n")
