@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
-from hitsrank.graph import AdjacencyMatrix, TeamIndex, _adjacency, _alphabetical, _checked, _Columns, _matrix
+from hitsrank.graph import AdjacencyMatrix, TeamIndex, _adjacency, _alphabetical, _checked, _Columns
 from hitsrank.io import (
     _MAX_DECIMALS,
     ParseError,
@@ -314,7 +314,7 @@ def _run_hits(m: AdjacencyMatrix, args: argparse.Namespace) -> HitsResult:
 
 def _cmd_rank(args: argparse.Namespace) -> str:
     if args.input_kind == "matches":
-        m = _matrix(*_match_rows(args))
+        m = AdjacencyMatrix(*_match_rows(args))
     elif args.match_only:
         raise CliError("--win-weight, --draw-weight and --sort-teams apply only to --input-kind matches")
     else:

@@ -10,8 +10,8 @@ One encoder, ``_encode``, turns matches into team indices and outcome
 codes, whether they come as MatchRecords or as rows of match-list text,
 and one accumulator, ``_adjacency``, sums them into plain row lists.
 Those rows are what ``hitsrank matrix`` prints and what an
-AdjacencyMatrix is made from (its constructor alone checks and freezes a
-matrix array), so numpy loads only where an AdjacencyMatrix is built or
+AdjacencyMatrix is made from (its constructor alone converts, checks and
+freezes a matrix), so numpy loads only where an AdjacencyMatrix is built or
 checked: the encoder, the accumulator, the name and number rules and the
 team index serve ``points``, ``matrix`` and ``compare`` without it.
 """
@@ -22,7 +22,6 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -66,6 +65,8 @@ def _bad_name(name: str) -> str | None:
         return f"team names must not start or end with whitespace, got {name!r}"
     if "\n" in name or "\r" in name:
         return f"team names must not hold a line break, got {name!r}"
+    if "\0" in name:  # Python 3.10's csv refuses a line holding NUL
+        return f"team names must not hold a NUL character, got {name!r}"
     return None
 
 
@@ -121,7 +122,7 @@ class MatchRecord:
 
 @dataclass(frozen=True)
 class TeamIndex:
-    """Bijection between team names (unique, non-blank, trimmed, no line break) and dense indices 0..n-1."""
+    """Bijection between team names (unique, non-blank, trimmed, no line break or NUL) and dense indices 0..n-1."""
 
     names: tuple[str, ...]
     _pos: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -308,14 +309,6 @@ def _alphabetical(index: TeamIndex, rows: Sequence[Sequence[float]]) -> tuple[Te
     return sorted_index, [[row[j] for j in order] for row in map(rows.__getitem__, order)]
 
 
-def _matrix(index: TeamIndex, rows: list[list[float]]) -> AdjacencyMatrix:
-    """The AdjacencyMatrix of ``len(index)`` rows of as many floats each."""
-    import numpy as np
-
-    n = len(index)
-    return AdjacencyMatrix(index, np.fromiter(chain.from_iterable(rows), np.float64, n * n).reshape(n, n))
-
-
 def build_adjacency(
     matches: Iterable[MatchRecord],
     win_weight: float = 3.0,
@@ -342,7 +335,7 @@ def build_adjacency(
     """
     win_weight = _checked("win_weight", win_weight, 0)
     draw_weight = _checked("draw_weight", draw_weight, 0)
-    return _matrix(*_adjacency(_encode(_record_rows(matches)), win_weight, draw_weight))
+    return AdjacencyMatrix(*_adjacency(_encode(_record_rows(matches)), win_weight, draw_weight))
 
 
 def transpose(m: AdjacencyMatrix) -> AdjacencyMatrix:
@@ -357,8 +350,8 @@ def from_named_matrix(names: Sequence[str], values: np.typing.ArrayLike) -> Adja
     this library; nothing is derived or rescaled.
 
     Raises:
-        ValueError: on duplicate, blank or multi-line names, a dimension
-            mismatch, or a broken entry (see ``AdjacencyMatrix``).
+        ValueError: on duplicate or blank names, a line break or NUL in a name,
+            a dimension mismatch, or a broken entry (see ``AdjacencyMatrix``).
     """
     return AdjacencyMatrix(TeamIndex(tuple(str(name).strip() for name in names)), values)
 

@@ -157,6 +157,22 @@ def _eigenvalues(norm_h: float, ta: np.typing.NDArray[np.float64], exponent: int
     return lam_a, lam_h
 
 
+def _step(w: np.ndarray, ta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """One sweep from ta (w^T h): a = ta / ||ta||, h = w a / ||w a||; returns a, h, ||w a|| and w^T h."""
+    norm_a = _norm(ta)
+    if norm_a == 0.0:
+        # unreachable for a nonzero matrix: in a sweep, h lies in range(A),
+        # which is orthogonal to null(A^T); kept as a defensive guard
+        raise DegenerateGraphError("iteration collapsed to the zero vector")
+    a = ta / norm_a
+    th = w @ a
+    norm_h = _norm(th)
+    if norm_h == 0.0:
+        raise DegenerateGraphError("iteration collapsed to the zero vector")
+    h = th / norm_h
+    return a, h, norm_h, w.T @ h
+
+
 def authority_gram(m: AdjacencyMatrix) -> np.typing.NDArray[np.float64]:
     """A^T A: symmetric positive semidefinite, couples teams by shared victims."""
     return m.w.T @ m.w
@@ -210,19 +226,7 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
     delta = math.inf
     converged = stalled = dense = False
     for iterations in range(1, cfg.max_iterations + 1):
-        norm_a = _norm(ta)
-        if norm_a == 0.0:
-            # unreachable for a nonzero matrix: h lies in range(A), which
-            # is orthogonal to null(A^T); kept as a defensive guard
-            raise DegenerateGraphError("iteration collapsed to the zero vector")
-        a_next = ta / norm_a
-        th = w @ a_next
-        norm_h = _norm(th)
-        if norm_h == 0.0:
-            raise DegenerateGraphError("iteration collapsed to the zero vector")
-        h_next = th / norm_h
-        ta = w.T @ h_next
-
+        a_next, h_next, norm_h, ta = _step(w, ta)
         prev_delta, delta = delta, max(_norm(a_next - a), _norm(h_next - h))
         a, h = a_next, h_next
         if delta <= tol:
@@ -239,12 +243,7 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
             dense = True
             vals, vecs = np.linalg.eigh(w.T @ w)
             top = vecs[:, vals[-1] - vals <= _TIE_GAP * vals[-1]]
-            a = np.maximum(top @ (top.T @ a), 0.0)
-            a /= _norm(a)
-            th = w @ a
-            norm_h = _norm(th)
-            h = th / norm_h
-            ta = w.T @ h
+            a, h, norm_h, ta = _step(w, np.maximum(top @ (top.T @ a), 0.0))
             stalled = top.shape[1] > 1
 
     if converged and not dense:

@@ -188,10 +188,13 @@ def parse_matrix(text: str) -> AdjacencyMatrix:
         raise ParseError(message, line=r + 2, column=c + 2) from None
 
 
-def _check_decimals(decimals: int) -> int:
+def _check_args(format: TableFormat, decimals: int) -> int:
+    """The emitters' ``decimals``, checked after ``format``."""
+    if not isinstance(format, TableFormat):
+        raise TypeError(f"format must be a TableFormat, got {type(format).__name__}")
     try:
         return _checked("decimals", decimals, 0, integer=True, maximum=_MAX_DECIMALS)
-    except TypeError as exc:  # emitters raise ValueError for every bad value, bool included
+    except TypeError as exc:  # emitters raise ValueError for every bad decimals, bool included
         raise ValueError(str(exc)) from None
 
 
@@ -250,7 +253,7 @@ def emit_table(t: RankTable, format: TableFormat, decimals: int = 3) -> str:
     ordering and rows. ``decimals`` controls TEXT and CSV score display;
     JSON always carries full precision (exact integers for points).
     """
-    decimals = _check_decimals(decimals)
+    decimals = _check_args(format, decimals)
     if format is TableFormat.JSON:
         return json.dumps(table_object(t), indent=2) + "\n"
     formatted = [
@@ -292,7 +295,7 @@ def emit_matrix(m: AdjacencyMatrix) -> str:
 
 def emit_comparison(report: ComparisonReport, format: TableFormat, decimals: int = 3) -> str:
     """Serialize a ranking comparison (displacements plus Kendall tau-b)."""
-    decimals = _check_decimals(decimals)
+    decimals = _check_args(format, decimals)
     tau = report.kendall_tau
     if format is TableFormat.JSON:
         obj = {

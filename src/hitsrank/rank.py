@@ -156,6 +156,8 @@ def rank_hub(
     """
     from hitsrank.hits import VectorKind
 
+    if not isinstance(order, HubOrder):
+        raise TypeError(f"order must be a HubOrder, got {type(order).__name__}")
     _check_weight(w, idx, VectorKind.HUB)
     ordering = Ordering.ASC_SCORE if order is HubOrder.BEST_TEAM_FIRST else Ordering.DESC_SCORE
     return _ranked(idx.names, w.values.tolist(), ordering, TableKind.HUB)

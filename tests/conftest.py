@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
 import random
 from pathlib import Path
@@ -12,6 +13,30 @@ import pytest
 from hitsrank import MatchRecord, Outcome
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+def pytest_report_header() -> str:
+    # the golden EPL JSON digits hold on one OpenBLAS kernel only, so a failure there should say which ran
+    return f"numpy {np.__version__}, OpenBLAS: {_openblas_config()}"
+
+
+def _openblas_config() -> str:
+    """The config string, kernel included, of the OpenBLAS in numpy's wheel, or ``unknown``."""
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        # numpy 2.x wheels bundle scipy-openblas, 1.x wheels OpenBLAS under its own 64-bit-index names
+        for symbol in ("scipy_openblas_get_config64_", "openblas_get_config64_"):
+            get_config = getattr(lib, symbol, None)
+            if get_config is not None:
+                get_config.argtypes = []
+                get_config.restype = ctypes.c_char_p
+                config = get_config()
+                return config.decode(errors="replace") if config else "unknown"
+    return "unknown"
+
 
 # four-node toy graphs and their expected weights, printed to 2 decimals
 FOUR_TEAM = np.array(

@@ -78,6 +78,17 @@ class TestTeamIndex:
         with pytest.raises(ValueError, match="line break"):
             from_named_matrix(["A\nB", "C"], [[0, 1], [2, 0]])
 
+    def test_nul_in_name_rejected(self):
+        # Python 3.10's csv cannot read such a name back
+        with pytest.raises(ValueError, match=r"^team names must not hold a NUL character, got 'A\\x00'$"):
+            TeamIndex(("A\0",))
+        with pytest.raises(ValueError, match="NUL"):
+            from_named_matrix(["A\0", "C"], [[0, 1], [2, 0]])
+        with pytest.raises(ValueError, match="NUL"):
+            MatchRecord("A\0", "C", Outcome.DRAW)
+        with pytest.raises(ValueError, match="NUL"):
+            MatchRecord("C", "A\0", Outcome.DRAW)
+
     def test_unknown_name(self):
         idx = TeamIndex(("A", "B"))
         with pytest.raises(KeyError):
@@ -170,6 +181,8 @@ class TestBuildAdjacency:
         m = build_adjacency([])
         assert m.n == 0
         assert m.index.names == ()
+        assert m.w.shape == (0, 0)
+        assert m.w.dtype == np.float64
 
     def test_single_draw(self):
         m = build_adjacency([MatchRecord("A", "B", Outcome.DRAW)])

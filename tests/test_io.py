@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import random
+import re
 from typing import Callable, Iterator
 
 import numpy as np
@@ -510,6 +511,10 @@ class TestEmitTable:
             with pytest.raises(ValueError, match="decimals must be finite and >= 0 and <= 1074"):
                 emit_comparison(compare_rankings(t, t), TableFormat.TEXT, decimals=decimals)
 
+    def test_format_must_be_a_table_format(self):
+        with pytest.raises(TypeError, match="^format must be a TableFormat, got str$"):
+            emit_table(points_table(mini_matches()), "json")
+
 
 class TestEmitComparison:
     def make_report(self):
@@ -551,6 +556,10 @@ class TestEmitComparison:
         assert set(doc) == {"rows", "kendall_tau_b"}
         row = doc["rows"][0]
         assert set(row) == {"team", "rank_a", "rank_b", "displacement"}
+
+    def test_format_must_be_a_table_format(self):
+        with pytest.raises(TypeError, match="^format must be a TableFormat, got str$"):
+            emit_comparison(self.make_report(), "csv")
 
     def test_json_nan_tau_is_null(self):
         solo = points_table([])
@@ -1046,3 +1055,27 @@ class TestNulOnPython310:
         assert main([*argv, str(path)]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {path}: line 3: line contains NUL\n")
+
+
+class TestNulInNames:
+    """A team name holding NUL is refused by the name rule, so the exit code does not depend on ``csv``."""
+
+    MATCHES = "home,away,outcome\nA,B,H\nA\0,B,H\n"
+    JSON_TABLE = json.dumps({"rows": [{"rank": 1, "team": "A", "score": 3}, {"rank": 2, "team": "B\0", "score": 1}]})
+
+    @pytest.mark.parametrize("text, argv, at", [
+        (MATCHES, ["points", "--input"], "line 3"),
+        (MATCHES, ["matrix", "--input"], "line 3"),
+        (MATCHES, ["rank", "--input-kind", "matches", "--input"], "line 3"),
+        ("A,B\0\nA,0,1\nB\0,3,0\n", ["rank", "--input-kind", "matrix", "--input"], "line 1"),
+        ("rank,team,score\n1,A,3\n2,B\0,1\n", ["compare", str(DATA_DIR / "epl_2010_11_official_points.csv")], "line 3"),
+        (JSON_TABLE, ["compare", str(DATA_DIR / "epl_2010_11_official_points.csv")], "row 2"),
+    ], ids=["points", "matrix", "rank", "rank-matrix", "compare", "compare-json"])
+    def test_cli_exits_3_at_the_line(self, capsys, tmp_path, text, argv, at):
+        # the position, not the text: Python 3.10's csv refuses the line before the name rule sees it
+        path = tmp_path / "nul.csv"
+        path.write_text(text)
+        assert main([*argv, str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.match(rf"error: {re.escape(str(path))}: {at}[,:] ", captured.err)

@@ -198,6 +198,13 @@ class TestRankHub:
         assert [r.team for r in raw.rows] == [r.team for r in reversed(best.rows)]
         assert raw.ordering is Ordering.DESC_SCORE
 
+    def test_order_must_be_a_hub_order(self):
+        # the member's name is no member: read as RAW_DESC it would put the worst team first
+        res = mini_result()
+        idx = build_adjacency(mini_matches()).index
+        with pytest.raises(TypeError, match="^order must be a HubOrder, got str$"):
+            rank_hub(res.hub, idx, "BEST_TEAM_FIRST")
+
     def test_single_team(self):
         w = WeightVector(np.array([1.0]), VectorKind.HUB)
         from hitsrank import TeamIndex
