@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
-from hitsrank.graph import AdjacencyMatrix, TeamIndex, _adjacency, _alphabetical, _checked, _Columns
+from hitsrank.graph import TeamIndex, _adjacency, _alphabetical, _checked, _Columns
 from hitsrank.io import (
     _MAX_DECIMALS,
     ParseError,
@@ -28,16 +28,16 @@ from hitsrank.io import (
     _lines,
     _match_columns,
     _matrix_csv,
+    _matrix_rows,
     emit_comparison,
     emit_table,
-    parse_matrix,
     parse_table,
     table_object,
 )
-from hitsrank.rank import HubOrder, _points, compare_rankings, rank_authority, rank_hub
+from hitsrank.rank import Ordering, TableKind, _points, _ranked, compare_rankings
 
 if TYPE_CHECKING:
-    from hitsrank.hits import HitsResult
+    from hitsrank.hits import _Solution
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,7 +47,8 @@ EXIT_NO_CONVERGENCE = 5
 
 _T = TypeVar("_T")
 
-_HUB_ORDERS = {"best-first": HubOrder.BEST_TEAM_FIRST, "raw-desc": HubOrder.RAW_DESC}
+# a small hub weight marks a strong team, so best-first sorts the hub weights ascending
+_HUB_ORDERS = {"best-first": Ordering.ASC_SCORE, "raw-desc": Ordering.DESC_SCORE}
 
 
 class CliError(Exception):
@@ -285,13 +286,14 @@ def _match_rows(args: argparse.Namespace) -> tuple[TeamIndex, list[list[float]]]
     return _alphabetical(index, rows) if args.sort_teams else (index, rows)
 
 
-def _run_hits(m: AdjacencyMatrix, args: argparse.Namespace) -> HitsResult:
-    # only rank loads the solver, and only rank, which builds an AdjacencyMatrix, loads numpy
-    from hitsrank.hits import DegenerateInputError, SolverConfig, hits
+def _run_hits(rows: list[list[float]], args: argparse.Namespace) -> _Solution:
+    # only rank loads the solver; it loads numpy only for a league of more
+    # than hits._LIST_TEAMS teams, or for the dense eigensolve
+    from hitsrank.hits import DegenerateInputError, SolverConfig, _solve
 
     cfg = SolverConfig(tolerance=args.tol, max_iterations=args.max_iters)
     try:
-        result = hits(m, cfg)
+        result = _solve(rows, cfg)
     except DegenerateInputError as exc:
         raise CliError(str(exc), EXIT_DEGENERATE) from None
     if args.verbose:
@@ -314,18 +316,18 @@ def _run_hits(m: AdjacencyMatrix, args: argparse.Namespace) -> HitsResult:
 
 def _cmd_rank(args: argparse.Namespace) -> str:
     if args.input_kind == "matches":
-        m = AdjacencyMatrix(*_match_rows(args))
+        index, rows = _match_rows(args)
     elif args.match_only:
         raise CliError("--win-weight, --draw-weight and --sort-teams apply only to --input-kind matches")
     else:
-        m = _parse(args.input, parse_matrix)
-    result = _run_hits(m, args)
+        index, rows = _parse(args.input, _matrix_rows)
+    result = _run_hits(rows, args)
     fmt = _format(args)
     tables = []
     if args.which in ("authority", "both"):
-        tables.append(("authority", rank_authority(result.authority, m.index)))
+        tables.append(("authority", _ranked(index.names, result.authority, Ordering.DESC_SCORE, TableKind.AUTHORITY)))
     if args.which in ("hub", "both"):
-        tables.append(("hub", rank_hub(result.hub, m.index, _HUB_ORDERS[args.hub_order])))
+        tables.append(("hub", _ranked(index.names, result.hub, _HUB_ORDERS[args.hub_order], TableKind.HUB)))
     if len(tables) == 1:
         return emit_table(tables[0][1], fmt, args.decimals)
     if fmt is TableFormat.JSON:

@@ -9,11 +9,13 @@ equal to the points the column's team earned from the encoded matches.
 One encoder, ``_encode``, turns matches into team indices and outcome
 codes, whether they come as MatchRecords or as rows of match-list text,
 and one accumulator, ``_adjacency``, sums them into plain row lists.
-Those rows are what ``hitsrank matrix`` prints and what an
-AdjacencyMatrix is made from (its constructor alone converts, checks and
-freezes a matrix), so numpy loads only where an AdjacencyMatrix is built or
-checked: the encoder, the accumulator, the name and number rules and the
-team index serve ``points``, ``matrix`` and ``compare`` without it.
+Those rows are what ``hitsrank matrix`` prints, what ``hitsrank rank``
+solves and what an AdjacencyMatrix is made from (its constructor alone
+converts, checks and freezes a matrix). The entry rule, ``_bad_entry``,
+reads rows too, so numpy loads only where an AdjacencyMatrix is built:
+the encoder, the accumulator, the entry, name and number rules and the
+team index serve ``points``, ``matrix``, ``compare`` and ``rank`` on a
+league of up to 32 teams without it.
 """
 
 from __future__ import annotations
@@ -74,18 +76,28 @@ def _self_play(name: str) -> str:
     return f"a team cannot play itself: {name!r}"
 
 
-def _bad_entry(w: np.typing.NDArray[np.float64]) -> tuple[int, int, str] | None:
-    """First entry in row-major order that breaks a matrix rule, as (row, column, message)."""
-    import numpy as np
+def _bad_entry(rows: Sequence[Sequence[float]]) -> tuple[int, int, str] | None:
+    """First entry in row-major order that breaks a matrix rule, as (row, column, message).
 
-    bad = ~((w >= 0.0) & (w < math.inf))
-    np.fill_diagonal(bad, bad.diagonal() | (w.diagonal() != 0.0))
-    if not bad.any():
-        return None
-    r, c = divmod(int(np.argmax(bad)), len(w))
-    value = float(w[r, c])
-    rule = "finite" if not math.isfinite(value) else "nonnegative" if value < 0.0 else "zero on the diagonal"
-    return r, c, f"matrix entries must be {rule}, got {value}"
+    The one owner of the entry rule: each entry finite and nonnegative, and
+    zero on the diagonal. ``rows`` is square, of floats.
+    """
+    for r, row in enumerate(rows):
+        # a finite sum rules out inf and nan, and without nan min is exact;
+        # a sum past the float range only sends its row to the scan below
+        if math.isfinite(sum(row)) and min(row) >= 0.0 and row[r] == 0.0:
+            continue
+        for c, value in enumerate(row):
+            if not math.isfinite(value):
+                rule = "finite"
+            elif value < 0.0:
+                rule = "nonnegative"
+            elif c == r and value != 0.0:
+                rule = "zero on the diagonal"
+            else:
+                continue
+            return r, c, f"matrix entries must be {rule}, got {value}"
+    return None
 
 
 class Outcome(enum.Enum):
@@ -180,7 +192,7 @@ class AdjacencyMatrix:
             w = w.reshape((0, 0))
         if w.shape != (n, n):
             raise ValueError(f"matrix shape {w.shape} does not match {n} teams")
-        if bad := _bad_entry(w):
+        if bad := _bad_entry(w.tolist()):
             raise ValueError(bad[2])
         w.setflags(write=False)
         object.__setattr__(self, "w", w)

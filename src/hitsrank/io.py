@@ -9,9 +9,11 @@ hands rows over in batches, and checks once per batch that each row
 took one line. The rows of a match list go to ``graph._encode``, the
 one encoder of matches, which MatchRecords reach too. Every parse
 failure raises ParseError carrying a 1-based line (and column where it
-is known); parsers never raise anything else on malformed text. numpy
-loads only when ``parse_matrix`` builds a matrix, so reading match
-lists and rank tables and writing a matrix's text do without it.
+is known); parsers never raise anything else on malformed text. One
+matrix reader, ``_matrix_rows``, gives a team index and checked rows:
+``hitsrank rank`` solves those rows, and ``parse_matrix`` wraps them in
+an AdjacencyMatrix. numpy loads only when that matrix is built, so
+reading every format and writing a matrix's text do without it.
 """
 
 from __future__ import annotations
@@ -149,10 +151,12 @@ def parse_matches(text: str) -> list[MatchRecord]:
     return [MatchRecord(names[i], names[j], _OUTCOMES[k]) for i, j, k in zip(*columns)]
 
 
-def parse_matrix(text: str) -> AdjacencyMatrix:
-    """Parse a matrix CSV whose row order matches its header order."""
-    import numpy as np
+def _matrix_rows(text: str) -> tuple[TeamIndex, list[list[float]]]:
+    """The team index and rows of a matrix CSV whose row order matches its header order.
 
+    The one matrix reader. Each row is read in file order, and only once
+    every row has been read is ``graph._bad_entry`` asked for a broken entry.
+    """
     lines = _lines(text) or [""]
     rows = _rows(lines)
     names = tuple(f.strip() for f in next(rows))
@@ -163,7 +167,7 @@ def parse_matrix(text: str) -> AdjacencyMatrix:
     n, found = len(index), len(lines) - 1
     if found != n:
         raise ParseError(f"expected {n} matrix rows, found {found}", line=min(found, n) + 2)
-    w = np.empty((n, n))
+    w = []
     for r, row in enumerate(rows):
         if len(row) != n + 1:
             message = f"expected {n + 1} fields (team name plus {n} entries), got {len(row)}"
@@ -174,18 +178,24 @@ def parse_matrix(text: str) -> AdjacencyMatrix:
         # float ignores the whitespace around a number, as strip does,
         # except \x1c-\x1f: a row that fails is read again, trimmed field by field
         try:
-            w[r] = list(map(float, row[1:]))
+            values = list(map(float, row[1:]))
         except ValueError:
+            values = []
             for c, field in enumerate(row[1:]):
                 try:
-                    w[r, c] = float(field.strip())
+                    values.append(float(field.strip()))
                 except ValueError:
                     raise ParseError(f"not a number: {field.strip()!r}", line=r + 2, column=c + 2) from None
-    try:
-        return AdjacencyMatrix(index, w)
-    except ValueError:  # a broken entry, which the constructor only names: _bad_entry places it
-        r, c, message = _bad_entry(w)
-        raise ParseError(message, line=r + 2, column=c + 2) from None
+        w.append(values)
+    if bad := _bad_entry(w):
+        r, c, message = bad
+        raise ParseError(message, line=r + 2, column=c + 2)
+    return index, w
+
+
+def parse_matrix(text: str) -> AdjacencyMatrix:
+    """Parse a matrix CSV whose row order matches its header order."""
+    return AdjacencyMatrix(*_matrix_rows(text))
 
 
 def _check_args(format: TableFormat, decimals: int) -> int:

@@ -10,6 +10,8 @@ default adjacency matrix built from the same matches.
 Nothing here loads numpy: ``points`` and ``compare`` run without it,
 and the weight vectors that ``rank_authority`` and ``rank_hub`` read
 come from ``hits``, which those two load when they are called.
+``hitsrank rank`` builds its tables with ``_ranked`` straight from the
+solver's weights, plain lists for a league of up to 32 teams.
 """
 
 from __future__ import annotations

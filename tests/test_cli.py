@@ -232,6 +232,17 @@ class TestRankCommand:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_library_and_cli_weights_are_the_same_bits(self, capsys):
+        # one solver: hits() sweeps a small league on m.w.tolist(), as rank sweeps its rows
+        with open(LEAGUE, encoding="utf-8") as f:
+            m = hitsrank.parse_matrix(f.read())
+        result = hitsrank.hits(m)
+        _, out, _ = run(capsys, "rank", "--input", LEAGUE, "--input-kind", "matrix", "--format", "json")
+        tables = json.loads(out)
+        for name, weights in (("authority", result.authority), ("hub", result.hub)):
+            scores = {row["team"]: row["score"] for row in tables[name]["rows"]}
+            assert scores == dict(zip(m.index.names, weights.values.tolist()))
+
     def test_unconverged_warns_but_succeeds(self, capsys):
         code, out, err = run(
             capsys,
@@ -725,25 +736,42 @@ class TestEntryPoints:
             hitsrank.nope
         assert set(hitsrank.__all__) <= set(dir(hitsrank))
 
-    @pytest.mark.parametrize("command", ["points", "matrix", "matrix-sorted", "compare-csv", "compare-json"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "points", "matrix", "matrix-sorted", "compare-csv", "compare-json",
+            "rank-league", "rank-league-json", "rank-mini", "rank-mini-json", "rank-32-teams", "rank-33-teams",
+        ],
+    )
     def test_points_and_compare_load_no_numpy(self, capsys, tmp_path, command):
-        # only rank builds an AdjacencyMatrix, so only rank pays numpy's start-up
+        # only rank loads the solver, and only a league of more than 32 teams
+        # (or one that needs the dense eigensolve) pays numpy's start-up
         for fmt in ("csv", "json"):
             table = run(capsys, "rank", "--input", LEAGUE, "--input-kind", "matrix", "--which", "authority", "--format", fmt)[1]
             (tmp_path / f"authority.{fmt}").write_text(table)
+        for n in (32, 33):
+            names = [f"t{i:02d}" for i in range(n)]
+            (tmp_path / f"ladder{n}.csv").write_text(emit_matrix(from_named_matrix(names, ladder(n))))
         argv = {
             "points": ["points", "--input", MINI],
             "matrix": ["matrix", "--input", MINI],
             "matrix-sorted": ["matrix", "--input", MINI, "--sort-teams"],
             "compare-csv": ["compare", OFFICIAL, str(tmp_path / "authority.csv"), "--format", "csv"],
             "compare-json": ["compare", OFFICIAL, str(tmp_path / "authority.json"), "--format", "json"],
+            "rank-league": ["rank", "--input", LEAGUE, "--input-kind", "matrix"],
+            "rank-league-json": ["rank", "--input", LEAGUE, "--input-kind", "matrix", "--format", "json"],
+            "rank-mini": ["rank", "--input", MINI, "--input-kind", "matches"],
+            "rank-mini-json": ["rank", "--input", MINI, "--input-kind", "matches", "--format", "json"],
+            "rank-32-teams": ["rank", "--input", str(tmp_path / "ladder32.csv"), "--input-kind", "matrix"],
+            "rank-33-teams": ["rank", "--input", str(tmp_path / "ladder33.csv"), "--input-kind", "matrix"],
         }[command]
+        loaded = ["numpy"] * (command == "rank-33-teams") + ["hitsrank.hits"] * command.startswith("rank")
         code = (
             "import sys; from hitsrank.__main__ import main; code = main(); "
             "print([m for m in ('numpy', 'hitsrank.hits') if m in sys.modules], file=sys.stderr); sys.exit(code)"
         )
         proc = python("-c", code, *argv, env=child_env())
-        assert (proc.returncode, proc.stderr) == (EXIT_OK, "[]\n")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, f"{loaded}\n")
         assert proc.stdout
 
     @pytest.mark.parametrize("first", ["hitsrank.io", "hitsrank.rank", "hitsrank.cli", "hitsrank.hits"])

@@ -1,6 +1,7 @@
 """The alternating hub/authority solver and its contracts."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -529,3 +530,24 @@ class TestHitsProperties:
             a = res.authority.values
             residual = np.linalg.norm(g @ a - res.authority_eigenvalue * a)
             assert residual <= tol * res.authority_eigenvalue
+
+
+class TestSweepForms:
+    """The list and the array primitives drive the one sweep loop to the same weights."""
+
+    @pytest.mark.parametrize("n", [2, 7, 20, 32])
+    def test_lists_and_arrays_agree(self, monkeypatch, n):
+        solver = sys.modules["hitsrank.hits"]  # hitsrank.hits is the function
+        w = random_weights(np.random.default_rng(n), n)
+        w[0, 1] = 1.0  # at least one edge
+        lists = solver._solve(w.tolist(), SolverConfig())
+        assert isinstance(lists.authority, list)
+        monkeypatch.setattr(solver, "_LIST_TEAMS", 0)
+        arrays = solver._solve(w, SolverConfig())
+        assert isinstance(arrays.authority, np.ndarray)
+        assert (lists.converged, lists.stalled) == (arrays.converged, arrays.stalled) == (True, False)
+        assert abs(lists.iterations - arrays.iterations) <= 1
+        tol = SolverConfig().tolerance
+        assert np.allclose(lists.authority, arrays.authority, rtol=0.0, atol=2 * tol)
+        assert np.allclose(lists.hub, arrays.hub, rtol=0.0, atol=2 * tol)
+        assert lists.authority_eigenvalue == pytest.approx(arrays.authority_eigenvalue, rel=1e-12)
