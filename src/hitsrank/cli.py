@@ -15,7 +15,6 @@ on stderr too.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
@@ -331,6 +330,8 @@ def _cmd_rank(args: argparse.Namespace) -> str:
     if len(tables) == 1:
         return emit_table(tables[0][1], fmt, args.decimals)
     if fmt is TableFormat.JSON:
+        import json
+
         return json.dumps({name: table_object(t) for name, t in tables}, indent=2) + "\n"
     blocks = [f"# {name}\n{emit_table(t, fmt, args.decimals)}" for name, t in tables]
     return "\n".join(blocks)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -100,6 +99,46 @@ def _bad_entry(rows: Sequence[Sequence[float]]) -> tuple[int, int, str] | None:
     return None
 
 
+class _Record:
+    """The base of the public value classes, which behave like frozen dataclasses.
+
+    A class's fields are its ``__init__``'s parameters, in order, and its
+    ``__init__`` sets each once with ``object.__setattr__``. An instance
+    refuses assignment and deletion, prints as ``Name(field=value, ...)``
+    and compares and hashes by its fields, or by identity if its class
+    is declared with ``eq=False``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def _values(self) -> tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
 class Outcome(enum.Enum):
     """Result of a single match from the perspective of ``team_a``."""
 
@@ -108,8 +147,7 @@ class Outcome(enum.Enum):
     DRAW = "DRAW"
 
 
-@dataclass(frozen=True)
-class MatchRecord:
+class MatchRecord(_Record):
     """One fixture outcome between two named teams.
 
     Team names are stripped of surrounding whitespace on construction.
@@ -117,31 +155,24 @@ class MatchRecord:
     because silently merging near-identical names corrupts rankings.
     """
 
-    team_a: str
-    team_b: str
-    outcome: Outcome
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "team_a", str(self.team_a).strip())
-        object.__setattr__(self, "team_b", str(self.team_b).strip())
-        if problem := _bad_name(self.team_a) or _bad_name(self.team_b):
+    def __init__(self, team_a: str, team_b: str, outcome: Outcome) -> None:
+        team_a, team_b = str(team_a).strip(), str(team_b).strip()
+        if problem := _bad_name(team_a) or _bad_name(team_b):
             raise ValueError(problem)
-        if self.team_a == self.team_b:
-            raise ValueError(_self_play(self.team_a))
-        if not isinstance(self.outcome, Outcome):
-            raise TypeError(f"outcome must be an Outcome, got {type(self.outcome).__name__}")
+        if team_a == team_b:
+            raise ValueError(_self_play(team_a))
+        if not isinstance(outcome, Outcome):
+            raise TypeError(f"outcome must be an Outcome, got {type(outcome).__name__}")
+        object.__setattr__(self, "team_a", team_a)
+        object.__setattr__(self, "team_b", team_b)
+        object.__setattr__(self, "outcome", outcome)
 
 
-@dataclass(frozen=True)
-class TeamIndex:
+class TeamIndex(_Record):
     """Bijection between team names (unique, non-blank, trimmed, no line break or NUL) and dense indices 0..n-1."""
 
-    names: tuple[str, ...]
-    _pos: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        names = tuple(str(name) for name in self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names: tuple[str, ...]) -> None:
+        names = tuple(str(name) for name in names)
         pos: dict[str, int] = {}
         for i, name in enumerate(names):
             if problem := _bad_name(name):
@@ -149,7 +180,8 @@ class TeamIndex:
             if name in pos:
                 raise ValueError(f"duplicate team name: {name!r}")
             pos[name] = i
-        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_pos", pos)  # no field: equal indexes have equal names
 
     def __len__(self) -> int:
         return len(self.names)
@@ -167,8 +199,7 @@ class TeamIndex:
         return self.names[i]
 
 
-@dataclass(frozen=True, eq=False)
-class AdjacencyMatrix:
+class AdjacencyMatrix(_Record, eq=False):
     """Square weight matrix over a TeamIndex, its entries finite and nonnegative.
 
     Entry (i, j) holds the points team i has conceded toward team j.
@@ -176,17 +207,14 @@ class AdjacencyMatrix:
     Every instance holds its own checked, read-only copy of the given array.
     """
 
-    index: TeamIndex
-    w: np.typing.NDArray[np.float64]
-
-    def __post_init__(self) -> None:
+    def __init__(self, index: TeamIndex, w: np.typing.ArrayLike) -> None:
         import numpy as np
 
         try:
-            w = np.array(self.w, dtype=np.float64)  # defensive copy
+            w = np.array(w, dtype=np.float64)  # defensive copy
         except (TypeError, ValueError) as exc:
             raise ValueError(f"matrix values must be numeric: {exc}") from None
-        n = len(self.index)
+        n = len(index)
         if n == 0 and w.size == 0:
             # an empty list of rows has ambiguous shape; normalize it
             w = w.reshape((0, 0))
@@ -195,6 +223,7 @@ class AdjacencyMatrix:
         if bad := _bad_entry(w.tolist()):
             raise ValueError(bad[2])
         w.setflags(write=False)
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "w", w)
 
     @property
@@ -303,7 +332,8 @@ def _adjacency(columns: _Columns, win_weight: float, draw_weight: float) -> tupl
         else:
             rows[j][i] += draw_weight
             rows[i][j] += draw_weight
-    if any(math.inf in row for row in rows):
+    # with nonnegative finite terms, a row holding an inf cell sums to inf
+    if any(math.inf in row for row in rows if sum(row) == math.inf):
         raise ValueError("matrix entries must be finite, got inf")
     return columns.index, rows
 

@@ -24,11 +24,10 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from hitsrank.graph import AdjacencyMatrix, _checked
+from hitsrank.graph import AdjacencyMatrix, _checked, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,8 +56,7 @@ class DegenerateGraphError(DegenerateInputError):
     """The match graph has no edges, so hub and authority weights are undefined."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Record):
     """Iteration controls.
 
     ``tolerance`` bounds the L2 change between successive normalized
@@ -72,17 +70,12 @@ class SolverConfig:
         ValueError: unless ``tolerance`` > 0 and ``max_iterations`` >= 1, both finite.
     """
 
-    tolerance: float = 1e-12
-    max_iterations: int = 10000
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tolerance", _checked("tolerance", self.tolerance, 0, strict=True))
-        iterations = _checked("max_iterations", self.max_iterations, 1, integer=True)
-        object.__setattr__(self, "max_iterations", iterations)
+    def __init__(self, tolerance: float = 1e-12, max_iterations: int = 10000) -> None:
+        object.__setattr__(self, "tolerance", _checked("tolerance", tolerance, 0, strict=True))
+        object.__setattr__(self, "max_iterations", _checked("max_iterations", max_iterations, 1, integer=True))
 
 
-@dataclass(frozen=True, eq=False)
-class WeightVector:
+class WeightVector(_Record, eq=False):
     """L2-normalized nonnegative per-team weights.
 
     Any vector with a positive entry satisfies sum(values**2) == 1; the
@@ -91,15 +84,12 @@ class WeightVector:
     array is read-only.
     """
 
-    values: np.typing.NDArray[np.float64]
-    kind: VectorKind
-
-    def __post_init__(self) -> None:
+    def __init__(self, values: np.typing.ArrayLike, kind: VectorKind) -> None:
         import numpy as np
 
-        if not isinstance(self.kind, VectorKind):
-            raise TypeError(f"kind must be a VectorKind, got {type(self.kind).__name__}")
-        v = np.array(self.values, dtype=np.float64)
+        if not isinstance(kind, VectorKind):
+            raise TypeError(f"kind must be a VectorKind, got {type(kind).__name__}")
+        v = np.array(values, dtype=np.float64)
         if v.ndim != 1:
             raise ValueError(f"values must be a 1-D vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -112,13 +102,13 @@ class WeightVector:
                 raise ValueError(f"weights must be L2-normalized, got norm {norm}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "kind", kind)
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
 
-@dataclass(frozen=True, eq=False)
-class HitsResult:
+class HitsResult(_Record, eq=False):
     """Weights plus solver diagnostics.
 
     ``authority_eigenvalue`` and ``hub_eigenvalue`` are the Rayleigh
@@ -133,15 +123,19 @@ class HitsResult:
     ``hits`` documents.
     """
 
-    authority: WeightVector
-    hub: WeightVector
-    authority_eigenvalue: float
-    hub_eigenvalue: float
-    iterations: int
-    converged: bool
-    stalled: bool = False
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        authority: WeightVector,
+        hub: WeightVector,
+        authority_eigenvalue: float,
+        hub_eigenvalue: float,
+        iterations: int,
+        converged: bool,
+        stalled: bool = False,
+    ) -> None:
+        values = (authority, hub, authority_eigenvalue, hub_eigenvalue, iterations, converged, stalled)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
         if self.authority.kind is not VectorKind.AUTHORITY:
             raise ValueError("authority vector has the wrong kind")
         if self.hub.kind is not VectorKind.HUB:

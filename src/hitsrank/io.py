@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 from io import StringIO
 from itertools import chain, islice
@@ -265,6 +264,8 @@ def emit_table(t: RankTable, format: TableFormat, decimals: int = 3) -> str:
     """
     decimals = _check_args(format, decimals)
     if format is TableFormat.JSON:
+        import json
+
         return json.dumps(table_object(t), indent=2) + "\n"
     formatted = [
         [str(row.rank), row.team, _format_score(row.score, t.kind, decimals)] for row in t.rows
@@ -308,6 +309,8 @@ def emit_comparison(report: ComparisonReport, format: TableFormat, decimals: int
     decimals = _check_args(format, decimals)
     tau = report.kendall_tau
     if format is TableFormat.JSON:
+        import json
+
         obj = {
             "rows": [
                 {
@@ -393,6 +396,8 @@ def _member(obj: dict[str, Any], key: str, enum_type: type[enum.Enum]) -> Any:
 
 def _parse_table_json(text: str) -> RankTable:
     # parse_table passes only text that starts with "{", which decodes to an object or not at all
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -19,10 +19,9 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from hitsrank.graph import _CODE, MatchRecord, TeamIndex, _bad_name, _checked, _Columns, _encode, _record_rows
+from hitsrank.graph import _CODE, MatchRecord, TeamIndex, _bad_name, _checked, _Columns, _encode, _Record, _record_rows
 
 if TYPE_CHECKING:
     from hitsrank.hits import VectorKind, WeightVector
@@ -50,8 +49,7 @@ class RankRow(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(_Record):
     """Ordered ranking rows plus metadata.
 
     Tables built by this module are sorted per ``ordering`` with exact
@@ -65,26 +63,23 @@ class RankTable:
     number raises TypeError (numpy scalars pass, bools do not).
     """
 
-    rows: tuple[RankRow, ...]
-    ordering: Ordering
-    kind: TableKind | None
-
-    def __post_init__(self) -> None:
+    def __init__(self, rows: Iterable[tuple[int, str, float]], ordering: Ordering, kind: TableKind | None) -> None:
         checked = []
-        for rank, team, score in self.rows:
+        for rank, team, score in rows:
             if not isinstance(team, str):
                 raise TypeError(f"team must be a str, got {type(team).__name__}")
             checked.append(RankRow(_checked("rank", rank, integer=True), team, _checked("score", score)))
         rows = tuple(checked)
-        object.__setattr__(self, "rows", rows)
-        if not isinstance(self.ordering, Ordering):
-            raise TypeError(f"ordering must be an Ordering, got {type(self.ordering).__name__}")
-        if self.kind is not None and not isinstance(self.kind, TableKind):
-            raise TypeError(f"kind must be a TableKind or None, got {type(self.kind).__name__}")
+        if not isinstance(ordering, Ordering):
+            raise TypeError(f"ordering must be an Ordering, got {type(ordering).__name__}")
+        if kind is not None and not isinstance(kind, TableKind):
+            raise TypeError(f"kind must be a TableKind or None, got {type(kind).__name__}")
         if bad := _bad_row(rows):
             raise ValueError(bad[2])
-        # lookup cache for rank_of; not a dataclass field, so it stays out
-        # of __eq__ and __repr__
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "kind", kind)
+        # the lookup of rank_of is no field, so it stays out of __eq__ and __repr__
         object.__setattr__(self, "_rank_by_team", {row.team: row.rank for row in rows})
 
     def __len__(self) -> int:
@@ -208,8 +203,7 @@ class ComparisonRow(NamedTuple):
     displacement: int
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Record):
     """Per-team displacement plus Kendall tau-b over two rankings.
 
     ``displacement`` is rank_b minus rank_a: positive means the team
@@ -220,8 +214,9 @@ class ComparisonReport:
     table is entirely tied.
     """
 
-    rows: tuple[ComparisonRow, ...]
-    kendall_tau: float
+    def __init__(self, rows: tuple[ComparisonRow, ...], kendall_tau: float) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "kendall_tau", kendall_tau)
 
 
 def compare_rankings(a: RankTable, b: RankTable) -> ComparisonReport:

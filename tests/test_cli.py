@@ -700,8 +700,8 @@ class TestEntryPoints:
         assert proc.stdout == "[]\n"
 
     def test_modules_import_no_scipy_and_numpy_only_in_hits(self):
-        # scipy and numpy.typing cost start-up time, so no module imports them
-        # when it loads; only rank loads numpy and the solver, so no module
+        # scipy, numpy.typing, dataclasses and json cost start-up time, so no module
+        # imports them when it loads; only rank loads numpy and the solver, so no module
         # but hits.py imports either outside a function or a type checker's block
         def imports(node, checking=False):
             """(name, under ``if TYPE_CHECKING:``) of each import outside a function body."""
@@ -720,7 +720,7 @@ class TestEntryPoints:
             f"{path.name}: {name}"
             for path in sorted((DATA_DIR.parent / "src" / "hitsrank").glob("*.py"))
             for name, checking in imports(ast.parse(path.read_text()))
-            if re.match(r"(scipy|numpy\.typing)(\.|$)", name)
+            if re.match(r"(scipy|numpy\.typing|dataclasses|json)(\.|$)", name)
             or (path.name != "hits.py" and not checking and re.match(r"(numpy|hitsrank\.hits)(\.|$)", name))
         ]
         assert bad == []
@@ -765,13 +765,20 @@ class TestEntryPoints:
             "rank-32-teams": ["rank", "--input", str(tmp_path / "ladder32.csv"), "--input-kind", "matrix"],
             "rank-33-teams": ["rank", "--input", str(tmp_path / "ladder33.csv"), "--input-kind", "matrix"],
         }[command]
-        loaded = ["numpy"] * (command == "rank-33-teams") + ["hitsrank.hits"] * command.startswith("rank")
+        # hitsrank itself loads neither dataclasses nor inspect, and json only for a JSON file
+        watched = ("numpy", "hitsrank.hits", "dataclasses", "inspect", "json")
+        loaded = {"hitsrank.hits"} if command.startswith("rank") else set()
+        if command.endswith("-json"):
+            loaded.add("json")
+        if command == "rank-33-teams":  # numpy, and what it brings (numpy 2 imports inspect)
+            probe = f"import numpy, sys; print(*(m for m in {watched} if m in sys.modules))"
+            loaded |= set(python("-c", probe, env=child_env()).stdout.split())
         code = (
             "import sys; from hitsrank.__main__ import main; code = main(); "
-            "print([m for m in ('numpy', 'hitsrank.hits') if m in sys.modules], file=sys.stderr); sys.exit(code)"
+            f"print([m for m in {watched} if m in sys.modules], file=sys.stderr); sys.exit(code)"
         )
         proc = python("-c", code, *argv, env=child_env())
-        assert (proc.returncode, proc.stderr) == (EXIT_OK, f"{loaded}\n")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, f"{[m for m in watched if m in loaded]}\n")
         assert proc.stdout
 
     @pytest.mark.parametrize("first", ["hitsrank.io", "hitsrank.rank", "hitsrank.cli", "hitsrank.hits"])

@@ -8,6 +8,9 @@ from conftest import FOUR_TEAM, MINI_MATRIX, mini_matches, random_matches
 
 from hitsrank import (
     AdjacencyMatrix,
+    ComparisonReport,
+    ComparisonRow,
+    HitsResult,
     MatchRecord,
     Ordering,
     Outcome,
@@ -15,7 +18,10 @@ from hitsrank import (
     RankTable,
     SolverConfig,
     TableFormat,
+    TableKind,
     TeamIndex,
+    VectorKind,
+    WeightVector,
     build_adjacency,
     emit_table,
     from_named_matrix,
@@ -239,6 +245,9 @@ class TestBuildAdjacency:
         with pytest.raises(ValueError, match="^matrix entries must be finite, got inf$"):
             build_adjacency(twice, win_weight=1e308)
         assert build_adjacency(twice[:1], win_weight=1e308).w[0, 1] == 1e308
+        # cells that are finite but whose row sums past the float range build: B lost to A and to C
+        losses = [MatchRecord("A", "B", Outcome.A_WINS), MatchRecord("C", "B", Outcome.A_WINS)]
+        assert build_adjacency(losses, win_weight=1e308).w[1].tolist() == [1e308, 0.0, 1e308]
 
     def test_non_record_rejected(self):
         for total in (build_adjacency, points_table):
@@ -483,3 +492,103 @@ class TestNumberRule:
             SolverConfig(tolerance=big)
         with pytest.raises(ValueError, match="max_iterations must be finite and >= 1, got -?inf"):
             SolverConfig(max_iterations=big)
+
+
+def hits_result(**stalled: bool) -> HitsResult:
+    authority, hub = WeightVector([0.6, 0.8], VectorKind.AUTHORITY), WeightVector([1.0, 0.0], VectorKind.HUB)
+    eigenvalues = {"authority_eigenvalue": 4.0, "hub_eigenvalue": 4.0}
+    return HitsResult(authority=authority, hub=hub, **eigenvalues, iterations=3, converged=True, **stalled)
+
+
+# The public value classes, once frozen dataclasses: a build by keyword with the
+# dataclass's field names (or its defaults), the repr the dataclass printed, the
+# field names, a second build of the same value, and a build of another value,
+# None for the array holders, which equal only themselves.
+VALUE_CLASSES = [
+    pytest.param(
+        lambda: MatchRecord(team_a="Arsenal", team_b="Chelsea", outcome=Outcome.A_WINS),
+        "MatchRecord(team_a='Arsenal', team_b='Chelsea', outcome=<Outcome.A_WINS: 'A_WINS'>)",
+        "team_a team_b outcome",
+        lambda: MatchRecord(" Arsenal", "Chelsea ", Outcome.A_WINS),
+        lambda: MatchRecord("Arsenal", "Chelsea", Outcome.DRAW),
+        id="MatchRecord",
+    ),
+    pytest.param(
+        lambda: TeamIndex(names=("Arsenal", "Chelsea")),
+        "TeamIndex(names=('Arsenal', 'Chelsea'))",
+        "names",
+        lambda: TeamIndex(["Arsenal", "Chelsea"]),
+        lambda: TeamIndex(("Chelsea", "Arsenal")),
+        id="TeamIndex",
+    ),
+    pytest.param(
+        lambda: AdjacencyMatrix(index=TeamIndex(("A", "B")), w=[[0, 3], [1, 0]]),
+        "AdjacencyMatrix(index=TeamIndex(names=('A', 'B')), w=array([[0., 3.],\n       [1., 0.]]))",
+        "index w",
+        lambda: AdjacencyMatrix(TeamIndex(("A", "B")), [[0, 3], [1, 0]]),
+        None,
+        id="AdjacencyMatrix",
+    ),
+    pytest.param(
+        lambda: RankTable(rows=(RankRow(1, "A", 3.0),), ordering=Ordering.DESC_SCORE, kind=None),
+        "RankTable(rows=(RankRow(rank=1, team='A', score=3.0),), "
+        "ordering=<Ordering.DESC_SCORE: 'DESC_SCORE'>, kind=None)",
+        "rows ordering kind",
+        lambda: RankTable([(np.int64(1), "A", 3)], Ordering.DESC_SCORE, None),
+        lambda: RankTable((RankRow(1, "A", 3.0),), Ordering.DESC_SCORE, TableKind.POINTS),
+        id="RankTable",
+    ),
+    pytest.param(
+        lambda: ComparisonReport(rows=(ComparisonRow("A", 1, 2, 1),), kendall_tau=-1.0),
+        "ComparisonReport(rows=(ComparisonRow(team='A', rank_a=1, rank_b=2, displacement=1),), kendall_tau=-1.0)",
+        "rows kendall_tau",
+        lambda: ComparisonReport((ComparisonRow("A", 1, 2, 1),), -1.0),
+        lambda: ComparisonReport((ComparisonRow("A", 1, 2, 1),), 1.0),
+        id="ComparisonReport",
+    ),
+    pytest.param(
+        SolverConfig,
+        "SolverConfig(tolerance=1e-12, max_iterations=10000)",
+        "tolerance max_iterations",
+        lambda: SolverConfig(tolerance=1e-12, max_iterations=10000),
+        lambda: SolverConfig(max_iterations=5),
+        id="SolverConfig",
+    ),
+    pytest.param(
+        lambda: WeightVector(values=[0.6, 0.8], kind=VectorKind.HUB),
+        "WeightVector(values=array([0.6, 0.8]), kind=<VectorKind.HUB: 'HUB'>)",
+        "values kind",
+        lambda: WeightVector([0.6, 0.8], VectorKind.HUB),
+        None,
+        id="WeightVector",
+    ),
+    pytest.param(
+        hits_result,
+        "HitsResult(authority=WeightVector(values=array([0.6, 0.8]), kind=<VectorKind.AUTHORITY: 'AUTHORITY'>), "
+        "hub=WeightVector(values=array([1., 0.]), kind=<VectorKind.HUB: 'HUB'>), "
+        "authority_eigenvalue=4.0, hub_eigenvalue=4.0, iterations=3, converged=True, stalled=False)",
+        "authority hub authority_eigenvalue hub_eigenvalue iterations converged stalled",
+        lambda: hits_result(stalled=False),
+        None,
+        id="HitsResult",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, text, fields, same, other", VALUE_CLASSES)
+def test_value_classes_keep_the_dataclass_contract(build, text, fields, same, other):
+    value = build()
+    assert repr(value) == text
+    assert value == value and value.__eq__(object()) is NotImplemented
+    if other is None:  # an array holder compares and hashes by identity
+        assert value != same() and hash(value) == object.__hash__(value)
+    else:  # by its fields alone: TeamIndex's lookup and RankTable's are no field
+        assert value == same() and hash(value) == hash(same())
+        assert value != other() and value != tuple(getattr(value, name) for name in fields.split())
+    for name in [*fields.split(), "extra"]:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, None)
+    for name in fields.split():
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    assert repr(value) == text
