@@ -10,13 +10,15 @@ stays nonnegative.
 
 One loop (``_solve``), with one convergence test, one handover to the
 dense eigensolve and one tie test (``_tied``), serves leagues of every
-size; only its vector primitives come in two forms. A league of at most
-``_LIST_TEAMS`` teams sweeps on lists (``_Lists``): each sum is a
-``math.fsum`` of products rounded one by one, correctly rounded, so the
-weights' bits depend on neither the BLAS kernel nor the Python version,
-and numpy loads only if the dense eigensolve runs. A larger league
-sweeps on numpy arrays (``_Arrays``). numpy loads inside the functions
-that use it, so importing this module loads none.
+size. The weights are lists of floats throughout, and every O(n) step
+(``_dot``, ``_norm``, ``_div``, ``_sub``) exists once: each sum is a
+``math.fsum`` of products rounded one by one, correctly rounded. Only
+the matrix comes in two forms. Up to ``_LIST_TEAMS`` teams it is row
+lists (``_Rows``), whose products are ``_dot`` too, so the weights' bits
+depend on neither the BLAS kernel nor the Python version, and numpy
+loads only if the dense eigensolve runs. Above, it is a numpy array
+(``_Array``) whose products come from BLAS. numpy loads inside the
+functions that use it, so importing this module loads none.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ if TYPE_CHECKING:
 _WARMUP = 50
 # Top eigenvalues of A^T A within this relative gap of the largest count as tied.
 _TIE_GAP = 1e-10
-# Leagues of at most this many teams sweep on lists (``_Lists``) and load
-# no numpy. A list sweep costs O(n^2) Python steps, about 0.2 ms at 32
-# teams on a 2-core x86-64 VM, so even the 50 sweeps before the dense
-# handover cost far less than numpy's 0.07-0.13 s start-up there.
+# Leagues of at most this many teams keep the matrix as row lists
+# (``_Rows``) and load no numpy. A sweep on row lists costs O(n^2) Python
+# steps, about 0.2 ms at 32 teams on a 2-core x86-64 VM, so even the 50
+# sweeps before the dense handover cost far less than numpy's 0.07-0.13 s
+# start-up there.
 _LIST_TEAMS = 32
 
 
@@ -158,161 +161,100 @@ def _disagree(lam_a: float, lam_h: float) -> bool:
     return abs(lam_a - lam_h) > 1e-9 * max(lam_a, lam_h)
 
 
-class _Lists:
-    """The sweep's vector primitives on lists of floats, masks being sets of indices.
+def _dot(x: list[float], y: list[float]) -> float:
+    """x.y as one ``math.fsum`` of products rounded one by one: correctly rounded (Shewchuk 1997)."""
+    return math.fsum(map(operator.mul, x, y))
 
-    Each sum is a ``math.fsum`` of products rounded one by one, and fsum
-    rounds once, correctly (Shewchuk 1997), so no bit depends on the CPU,
-    the BLAS kernel or the Python version.
-    """
 
-    @staticmethod
-    def matrix(w: Any) -> tuple[list[list[float]], float]:
-        """``w`` (row lists or an array) as row lists, and its largest entry."""
-        rows = w if isinstance(w, list) else w.tolist()
-        return rows, max(map(max, rows), default=0.0)
+def _norm(x: list[float]) -> float:
+    return math.sqrt(_dot(x, x))
 
-    @staticmethod
-    def scaled(w: list[list[float]], exponent: int) -> tuple[list[list[float]], list[list[float]]]:
+
+def _div(x: list[float], c: float) -> list[float]:
+    return [v / c for v in x]
+
+
+def _sub(x: list[float], y: list[float]) -> list[float]:
+    return list(map(operator.sub, x, y))
+
+
+class _Rows:
+    """A checked matrix as row lists, each product entry a ``_dot``, so no bit depends on the CPU or BLAS."""
+
+    def __init__(self, w: Any) -> None:
+        self.w = w if isinstance(w, list) else w.tolist()
+
+    def scaled(self, exponent: int) -> tuple[_Rows, _Rows]:
         """w * 2**exponent and its transpose."""
-        w = [[math.ldexp(x, exponent) for x in row] for row in w]
-        return w, [list(column) for column in zip(*w)]
+        w = [[math.ldexp(x, exponent) for x in row] for row in self.w]
+        return _Rows(w), _Rows([list(column) for column in zip(*w)])
 
-    @staticmethod
-    def vector(x: Any) -> list[float]:
-        return list(map(float, x))
+    def largest(self) -> float:
+        return max(map(max, self.w), default=0.0)
 
-    @staticmethod
-    def product(w: list[list[float]], x: list[float]) -> list[float]:
-        return [math.fsum(map(operator.mul, row, x)) for row in w]
+    def product(self, x: list[float]) -> list[float]:
+        return [_dot(row, x) for row in self.w]
 
-    @staticmethod
-    def dot(x: list[float], y: list[float]) -> float:
-        return math.fsum(map(operator.mul, x, y))
-
-    @staticmethod
-    def div(x: list[float], c: float) -> list[float]:
-        return [v / c for v in x]
-
-    @staticmethod
-    def mul(x: list[float], c: float) -> list[float]:
-        return [v * c for v in x]
-
-    @staticmethod
-    def sub(x: list[float], y: list[float]) -> list[float]:
-        return list(map(operator.sub, x, y))
-
-    @staticmethod
-    def mask(n: int, *indices: int) -> set[int]:
-        return set(indices)
-
-    some = bool
-    largest = max
-
-    @staticmethod
-    def argmax(x: list[float]) -> int:
-        return x.index(max(x))
-
-    @staticmethod
-    def outside(x: list[float], part: set[int]) -> list[float]:
-        """x with the entries in ``part`` set to 0."""
-        return [0.0 if i in part else v for i, v in enumerate(x)]
-
-    @staticmethod
-    def linked(w: list[list[float]], columns: set[int], seen: set[int]) -> set[int]:
+    def linked(self, columns: set[int], seen: set[int]) -> set[int]:
         """The rows of w, outside ``seen``, with a positive entry in one of ``columns``."""
-        return {i for i, row in enumerate(w) if i not in seen and any(row[j] > 0.0 for j in columns)}
+        return {i for i, row in enumerate(self.w) if i not in seen and any(row[j] > 0.0 for j in columns)}
 
 
-class _Arrays:
-    """The primitives of ``_Lists`` as numpy expressions, masks being boolean arrays."""
+class _Array:
+    """The members of ``_Rows`` on a numpy array, products from BLAS."""
 
-    @staticmethod
-    def matrix(w: Any) -> tuple[np.ndarray, float]:
+    def __init__(self, w: Any) -> None:
         import numpy as np
 
         if isinstance(w, list):  # np.fromiter reads a league's row lists faster than np.array
             w = np.fromiter(chain.from_iterable(w), np.float64, len(w) ** 2).reshape(len(w), -1)
-        return w, float(w.max())
+        self.w = w
 
-    @staticmethod
-    def scaled(w: np.ndarray, exponent: int) -> tuple[np.ndarray, np.ndarray]:
+    def scaled(self, exponent: int) -> tuple[_Array, _Array]:
         import numpy as np
 
-        w = np.ldexp(w, exponent)
-        return w, w.T
+        w = np.ldexp(self.w, exponent)
+        return _Array(w), _Array(w.T)
 
-    @staticmethod
-    def vector(x: Any) -> np.ndarray:
+    def largest(self) -> float:
+        return float(self.w.max())
+
+    def product(self, x: list[float]) -> list[float]:
         import numpy as np
 
-        return np.asarray(x, dtype=np.float64)
+        return (self.w @ np.array(x)).tolist()
 
-    product = operator.matmul
-    div = operator.truediv
-    mul = operator.mul
-    sub = operator.sub
-
-    @staticmethod
-    def dot(x: np.ndarray, y: np.ndarray) -> float:
-        return x.dot(y)
-
-    @staticmethod
-    def mask(n: int, *indices: int) -> np.ndarray:
+    def linked(self, columns: set[int], seen: set[int]) -> set[int]:
         import numpy as np
 
-        mask = np.zeros(n, dtype=bool)
-        mask[list(indices)] = True
-        return mask
-
-    @staticmethod
-    def some(mask: np.ndarray) -> bool:
-        return bool(mask.any())
-
-    @staticmethod
-    def largest(x: np.ndarray) -> float:
-        return x.max()
-
-    @staticmethod
-    def argmax(x: np.ndarray) -> int:
-        return int(x.argmax())
-
-    @staticmethod
-    def outside(x: np.ndarray, part: np.ndarray) -> np.ndarray:
-        return x * ~part
-
-    @staticmethod
-    def linked(w: np.ndarray, columns: np.ndarray, seen: np.ndarray) -> np.ndarray:
-        return (w[:, columns] > 0.0).any(axis=1) & ~seen
-
-
-def _norm(ops: type[_Lists | _Arrays], x: Any) -> float:
-    return math.sqrt(ops.dot(x, x))
+        return set(np.flatnonzero((self.w[:, list(columns)] > 0.0).any(axis=1)).tolist()) - seen
 
 
 def _eigenvalues(norm_h: float, tt: float, exponent: int) -> tuple[float, float]:
     """a.(A^T A)a and h.(A A^T)h, or inf past the float range, from ||w a|| and (w^T h).(w^T h), A = w * 2**exponent."""
     lam_a, lam_h = (
         math.ldexp(x, 2 * exponent) if math.frexp(x)[1] + 2 * exponent <= 1024 else math.inf
-        for x in (norm_h * norm_h, float(tt))
+        for x in (norm_h * norm_h, tt)
     )
     return lam_a, lam_h
 
 
-def _step(ops: type[_Lists | _Arrays], w: Any, wt: Any, ta: Any) -> tuple[Any, Any, float, Any]:
+def _step(
+    w: _Rows | _Array, wt: _Rows | _Array, ta: list[float]
+) -> tuple[list[float], list[float], float, list[float]]:
     """One sweep from ta (w^T h): a = ta / ||ta||, h = w a / ||w a||; returns a, h, ||w a|| and w^T h."""
-    norm_a = _norm(ops, ta)
+    norm_a = _norm(ta)
     if norm_a == 0.0:
         # unreachable for a nonzero matrix: in a sweep, h lies in range(A),
         # which is orthogonal to null(A^T); kept as a defensive guard
         raise DegenerateGraphError("iteration collapsed to the zero vector")
-    a = ops.div(ta, norm_a)
-    th = ops.product(w, a)
-    norm_h = _norm(ops, th)
+    a = _div(ta, norm_a)
+    th = w.product(a)
+    norm_h = _norm(th)
     if norm_h == 0.0:
         raise DegenerateGraphError("iteration collapsed to the zero vector")
-    h = ops.div(th, norm_h)
-    return a, h, norm_h, ops.product(wt, h)
+    h = _div(th, norm_h)
+    return a, h, norm_h, wt.product(h)
 
 
 def authority_gram(m: AdjacencyMatrix) -> np.typing.NDArray[np.float64]:
@@ -345,9 +287,10 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
     largest count as tied; then ``stalled`` is set, and the weights are
     that projection of the authority iterate begun from a uniform hub.
     A run the sweeps settle alone is tested for a tie by ``_tied``.
-    Deterministic for a fixed input and configuration. Up to
-    ``_LIST_TEAMS`` teams the sweep runs on ``m.w.tolist()``, as
-    ``hitsrank rank`` does, so both give the same bits.
+    Deterministic for a fixed input and configuration. The sweep keeps
+    the weights as lists at every size; up to ``_LIST_TEAMS`` teams it
+    runs on ``m.w.tolist()``, as ``hitsrank rank`` does, so both give the
+    same bits, and above, only the matrix products come from BLAS.
 
     Raises:
         DegenerateGraphError: if the matrix has no nonzero entry, since
@@ -368,10 +311,10 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
 
 
 class _Solution(NamedTuple):
-    """The fields of a HitsResult, the weights as the sweep left them (lists or arrays)."""
+    """The fields of a HitsResult, the weights as lists."""
 
-    authority: Any
-    hub: Any
+    authority: list[float]
+    hub: list[float]
     authority_eigenvalue: float
     hub_eigenvalue: float
     iterations: int
@@ -382,33 +325,34 @@ class _Solution(NamedTuple):
 def _solve(w: Any, cfg: SolverConfig) -> _Solution:
     """``hits`` of a checked matrix, given as row lists or an array: the one sweep loop.
 
-    Up to ``_LIST_TEAMS`` teams it runs on lists (``_Lists``) and loads no
-    numpy unless the dense eigensolve runs; above, on arrays (``_Arrays``).
+    The weights are lists at every size. Up to ``_LIST_TEAMS`` teams the
+    matrix is row lists (``_Rows``) and numpy loads only if the dense
+    eigensolve runs; above, it is an array (``_Array``) with BLAS products.
     """
     n = len(w)
-    ops = _Lists if n <= _LIST_TEAMS else _Arrays
-    w, largest = ops.matrix(w)
+    w = _Rows(w) if n <= _LIST_TEAMS else _Array(w)
+    largest = w.largest()
     if largest == 0.0:  # entries are nonnegative, so none is nonzero
         raise DegenerateGraphError("the graph has no edges; hub and authority weights are undefined")
     # a power of two scales exactly, so the weights keep every bit they
     # have unscaled; dividing by the largest entry would round them
     exponent = math.frexp(largest)[1]
-    w, wt = ops.scaled(w, -exponent)
+    w, wt = w.scaled(-exponent)
     tol = cfg.tolerance
 
-    a = h = ops.vector([1.0 / math.sqrt(n)] * n)
+    a = h = [1.0 / math.sqrt(n)] * n
     # w^T h: the next sweep's product, and w^T w a / norm_h for the residual
-    ta = ops.product(wt, h)
+    ta = wt.product(h)
     delta = math.inf
     converged = stalled = dense = False
     for iterations in range(1, cfg.max_iterations + 1):
-        a_next, h_next, norm_h, ta = _step(ops, w, wt, ta)
-        prev_delta, delta = delta, max(_norm(ops, ops.sub(a_next, a)), _norm(ops, ops.sub(h_next, h)))
+        a_next, h_next, norm_h, ta = _step(w, wt, ta)
+        prev_delta, delta = delta, max(_norm(_sub(a_next, a)), _norm(_sub(h_next, h)))
         a, h = a_next, h_next
         if delta <= tol:
             # ||A^T A a - lambda a|| / lambda, with lambda = norm_h**2 on the scale of w
-            residual = _norm(ops, ops.sub(ta, ops.mul(a, norm_h))) / norm_h
-            if residual <= tol and not _disagree(*_eigenvalues(norm_h, ops.dot(ta, ta), exponent)):
+            residual = _norm(_sub(ta, [v * norm_h for v in a])) / norm_h
+            if residual <= tol and not _disagree(*_eigenvalues(norm_h, _dot(ta, ta), exponent)):
                 converged = True
                 break
         elif iterations == _WARMUP and (
@@ -419,19 +363,19 @@ def _solve(w: Any, cfg: SolverConfig) -> _Solution:
             import numpy as np
 
             dense = True
-            dense_w = np.asarray(w)
+            dense_w = np.asarray(w.w)
             vals, vecs = np.linalg.eigh(dense_w.T @ dense_w)
             top = vecs[:, vals[-1] - vals <= _TIE_GAP * vals[-1]]
-            a, h, norm_h, ta = _step(ops, w, wt, ops.vector(np.maximum(top @ (top.T @ np.asarray(a)), 0.0)))
+            a, h, norm_h, ta = _step(w, wt, np.maximum(top @ (top.T @ np.asarray(a)), 0.0).tolist())
             stalled = top.shape[1] > 1
 
     if converged and not dense:
-        stalled = _tied(ops, w, wt, a, norm_h * norm_h)
-    authority_eigenvalue, hub_eigenvalue = _eigenvalues(norm_h, ops.dot(ta, ta), exponent)
+        stalled = _tied(w, wt, a, norm_h * norm_h)
+    authority_eigenvalue, hub_eigenvalue = _eigenvalues(norm_h, _dot(ta, ta), exponent)
     return _Solution(a, h, authority_eigenvalue, hub_eigenvalue, iterations, converged, stalled)
 
 
-def _tied(ops: type[_Lists | _Arrays], w: Any, wt: Any, a: Any, lam: float) -> bool:
+def _tied(w: _Rows | _Array, wt: _Rows | _Array, a: list[float], lam: float) -> bool:
     """Whether lam, the top eigenvalue of w^T w that ``a`` converged to, is tied.
 
     Link two columns of w when some row holds both. On each connected
@@ -445,18 +389,18 @@ def _tied(ops: type[_Lists | _Arrays], w: Any, wt: Any, a: Any, lam: float) -> b
     top eigenvalue of the components it covers, so a quotient within a
     relative ``_TIE_GAP`` of lam is a tie.
     """
-    n = len(a)
-    part = held = ops.mask(n)  # the component's columns, and the rows that hold them
-    new = ops.mask(n, ops.argmax(a))
-    while ops.some(new):
-        part = part | new
-        rest = ops.outside(a, part)
-        top = ops.largest(rest)
-        if top == 0.0:
-            return False
-        rows = ops.linked(w, new, held)
-        held = held | rows
-        new = ops.linked(wt, rows, part)
-    rest = ops.div(rest, top)  # where the iterate has all but died out, its square would underflow
-    wr = ops.product(w, rest)
-    return ops.dot(wr, wr) >= (1.0 - _TIE_GAP) * lam * ops.dot(rest, rest)
+    part: set[int] = set()  # the component's columns
+    held: set[int] = set()  # the rows that hold them
+    new = {a.index(max(a))}
+    while new:
+        part |= new
+        rows = w.linked(new, held)
+        held |= rows
+        new = wt.linked(rows, part)
+    rest = [0.0 if i in part else v for i, v in enumerate(a)]
+    top = max(rest)
+    if top == 0.0:
+        return False
+    rest = _div(rest, top)  # where the iterate has all but died out, its square would underflow
+    wr = w.product(rest)
+    return _dot(wr, wr) >= (1.0 - _TIE_GAP) * lam * _dot(rest, rest)

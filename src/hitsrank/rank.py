@@ -11,7 +11,7 @@ Nothing here loads numpy: ``points`` and ``compare`` run without it,
 and the weight vectors that ``rank_authority`` and ``rank_hub`` read
 come from ``hits``, which those two load when they are called.
 ``hitsrank rank`` builds its tables with ``_ranked`` straight from the
-solver's weights, plain lists for a league of up to 32 teams.
+solver's weights, plain lists for a league of any size.
 """
 
 from __future__ import annotations

@@ -533,7 +533,7 @@ class TestHitsProperties:
 
 
 class TestSweepForms:
-    """The list and the array primitives drive the one sweep loop to the same weights."""
+    """The row-list and the array matrix drive the one sweep loop to the same weights."""
 
     @pytest.mark.parametrize("n", [2, 7, 20, 32])
     def test_lists_and_arrays_agree(self, monkeypatch, n):
@@ -541,13 +541,53 @@ class TestSweepForms:
         w = random_weights(np.random.default_rng(n), n)
         w[0, 1] = 1.0  # at least one edge
         lists = solver._solve(w.tolist(), SolverConfig())
-        assert isinstance(lists.authority, list)
         monkeypatch.setattr(solver, "_LIST_TEAMS", 0)
+        products = []
+        array_product = solver._Array.product
+        monkeypatch.setattr(solver._Array, "product", lambda m, x: products.append(x) or array_product(m, x))
         arrays = solver._solve(w, SolverConfig())
-        assert isinstance(arrays.authority, np.ndarray)
+        assert products  # the array form ran
+        for s in (lists, arrays):
+            assert isinstance(s.authority, list) and isinstance(s.hub, list)
         assert (lists.converged, lists.stalled) == (arrays.converged, arrays.stalled) == (True, False)
         assert abs(lists.iterations - arrays.iterations) <= 1
         tol = SolverConfig().tolerance
         assert np.allclose(lists.authority, arrays.authority, rtol=0.0, atol=2 * tol)
         assert np.allclose(lists.hub, arrays.hub, rtol=0.0, atol=2 * tol)
         assert lists.authority_eigenvalue == pytest.approx(arrays.authority_eigenvalue, rel=1e-12)
+
+    def test_small_leagues_keep_their_bits_when_teams_are_reordered(self):
+        # up to 32 teams every sum is a correctly rounded math.fsum, which
+        # does not depend on the order of its terms; so before the dense
+        # eigensolve at sweep 50, reordering the teams reorders the weights
+        solver = sys.modules["hitsrank.hits"]
+        rng = np.random.default_rng(23)
+        checked = 0
+        while checked < 40:
+            n = int(rng.integers(2, 33))
+            w = random_weights(rng, n) * 10.0 ** rng.integers(-300, 300)
+            if not w.any():
+                continue
+            base = solver._solve(w.tolist(), SolverConfig())
+            if not base.converged or base.iterations >= 50:
+                continue
+            perm = rng.permutation(n)
+            shuffled = solver._solve(w[np.ix_(perm, perm)].tolist(), SolverConfig())
+            assert shuffled.authority == [base.authority[i] for i in perm]
+            assert shuffled.hub == [base.hub[i] for i in perm]
+            assert shuffled[2:] == base[2:]  # eigenvalues, iterations and flags
+            checked += 1
+
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    def test_mirror_image_halves_get_bit_equal_weights(self, k):
+        # teams i and i + k play as mirror images, so swapping the halves
+        # leaves W as it is, and every pair's weights are bit-equal
+        solver = sys.modules["hitsrank.hits"]
+        rng = np.random.default_rng(k)
+        inner, outer = rng.uniform(0.0, 1.0, (2, k, k))
+        np.fill_diagonal(inner, 0.0)
+        w = np.block([[inner, outer], [outer, inner]])
+        s = solver._solve(w.tolist(), SolverConfig())
+        assert s.converged and s.iterations < 50
+        assert s.authority[:k] == s.authority[k:]
+        assert s.hub[:k] == s.hub[k:]
