@@ -120,10 +120,13 @@ class HitsResult(_Record, eq=False):
     agree to a relative 1e-9 whenever the run converged (the agreement
     check is skipped for best-effort results returned at the iteration
     cap). One beyond the float range reads ``inf`` (or 0 below it).
-    ``stalled`` marks a tied top eigenvalue: more than one eigenvalue of
-    A^T A lies within a relative 1e-10 of the largest, so the principal
-    eigenvector is not unique and the weights follow the convention that
-    ``hits`` documents.
+    ``stalled`` marks a tied top eigenvalue, one whose principal
+    eigenvector is not unique; the weights then follow the convention
+    that ``hits`` documents. A run that reaches the dense eigensolve sets
+    it when a second eigenvalue of A^T A lies within a relative 1e-10 of
+    the largest. A run the sweeps settle alone sets it only for a second
+    connected component of A^T A whose top eigenvalue comes that close:
+    a near tie inside one component is not looked for there.
     """
 
     def __init__(

@@ -35,10 +35,10 @@ from hitsrank.graph import (
     _Columns,
     _encode,
 )
-from hitsrank.rank import ComparisonReport, Ordering, RankRow, RankTable, TableKind, _bad_row
+from hitsrank.rank import ComparisonReport, ComparisonRow, Ordering, RankRow, RankTable, TableKind, _bad_row
 
 _MATCH_HEADER = ["home", "away", "outcome"]
-_TABLE_HEADER = ["rank", "team", "score"]
+_TABLE_HEADER = list(RankRow._fields)
 _TIE_NOTE = "# ties share the smaller rank (competition ranking)"
 # every float is exact to 1074 places after the point (the smallest is 2**-1074)
 _MAX_DECIMALS = 1074
@@ -76,7 +76,7 @@ class ParseError(ValueError):
 def _lines(text: str) -> list[str]:
     # only LF, CRLF and CR end a line: a form feed, \x1c-\x1e, \x85 or
     # U+2028/U+2029 is part of a field
-    lines = text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
@@ -225,10 +225,7 @@ def table_object(t: RankTable) -> dict[str, Any]:
     return {
         "kind": t.kind.value.lower() if t.kind is not None else None,
         "ordering": t.ordering.value.lower(),
-        "rows": [
-            {"rank": row.rank, "team": row.team, "score": _json_score(row.score, t.kind)}
-            for row in t.rows
-        ],
+        "rows": [{**row._asdict(), "score": _json_score(row.score, t.kind)} for row in t.rows],
     }
 
 
@@ -236,7 +233,9 @@ def _csv_join(rows: Iterable[Sequence[str]]) -> str:
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
-    return buffer.getvalue()
+    text = buffer.getvalue()
+    # a reader strips one leading BOM, so text that starts with one gets another
+    return "\ufeff" + text if text.startswith("\ufeff") else text
 
 
 def _aligned(header: list[str], cells: list[list[str]], left: set[int]) -> list[str]:
@@ -312,29 +311,16 @@ def emit_comparison(report: ComparisonReport, format: TableFormat, decimals: int
         import json
 
         obj = {
-            "rows": [
-                {
-                    "team": r.team,
-                    "rank_a": r.rank_a,
-                    "rank_b": r.rank_b,
-                    "displacement": r.displacement,
-                }
-                for r in report.rows
-            ],
+            "rows": [r._asdict() for r in report.rows],
             "kendall_tau_b": None if math.isnan(tau) else float(tau),
         }
         return json.dumps(obj, indent=2) + "\n"
-    header = ["team", "rank_a", "rank_b", "displacement"]
+    header = list(ComparisonRow._fields)
     if format is TableFormat.CSV:
-        rows = [[r.team, str(r.rank_a), str(r.rank_b), str(r.displacement)] for r in report.rows]
-        return _csv_join([header] + rows) + f"# kendall_tau_b,{repr(tau)}\n"
+        rows = [map(str, r) for r in report.rows]
+        return _csv_join([header, *rows]) + f"# kendall_tau_b,{repr(tau)}\n"
     cells = [
-        [
-            r.team,
-            str(r.rank_a),
-            str(r.rank_b),
-            str(r.displacement) if r.displacement == 0 else f"{r.displacement:+d}",
-        ]
+        [*map(str, r[:-1]), str(r.displacement) if r.displacement == 0 else f"{r.displacement:+d}"]
         for r in report.rows
     ]
     lines = _aligned(header, cells, left={0})

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -98,6 +99,10 @@ def _bad_row(rows: Sequence[RankRow]) -> tuple[int, str, str] | None:
     for i, (rank, team, score) in enumerate(rows):
         if rank < 1:
             return i, "rank", f"ranks are 1-based, got {rank}"
+        try:
+            _checked("rank", rank, integer=True)
+        except ValueError as exc:
+            return i, "rank", str(exc)
         if problem := _bad_name(team):
             return i, "team", problem
         if not math.isfinite(score):
@@ -241,27 +246,32 @@ def compare_rankings(a: RankTable, b: RankTable) -> ComparisonReport:
             key=lambda r: (r.rank_a, r.team),
         )
     )
-    teams = sorted(ranks_a)
-    tau = _tau_b([ranks_a[t] for t in teams], [ranks_b[t] for t in teams])
+    tau = _tau_b([(r.rank_a, r.rank_b) for r in rows])
     return ComparisonReport(rows=rows, kendall_tau=tau)
 
 
-def _tau_b(x: Sequence[int], y: Sequence[int]) -> float:
-    """Kendall tau-b by Knight's merge sort, in O(n log n); NaN if n < 2 or a side is all tied.
+def _tau_b(pairs: Sequence[tuple[int, int]]) -> float:
+    """Kendall tau-b of rank pairs (x, y), in O(n log n) comparisons; NaN if n < 2 or a side is all tied.
 
     S, the tied pairs and n0 are exact integers, and the final division
     runs in the same order as scipy.stats.kendalltau, so the result
     matches it to the last bit.
     """
-    n = len(x)
+    n = len(pairs)
     n0 = n * (n - 1) // 2
-    ties_x, ties_y = _tied_pairs(x), _tied_pairs(y)
+    ties_x, ties_y = _tied_pairs(x for x, _ in pairs), _tied_pairs(y for _, y in pairs)
     if ties_x == n0 or ties_y == n0:
         return math.nan
-    # sorted by x, then y, a pair is discordant where y falls: an inversion;
+    # sorted by x, then y, a pair is discordant where y falls: each y is
+    # discordant with the earlier ys above it, which bisect counts
+    ys: list[int] = []
+    discordant = 0
+    for _, y in sorted(pairs):
+        at = bisect_right(ys, y)
+        discordant += len(ys) - at
+        ys.insert(at, y)
     # the concordant pairs are the rest, less the pairs tied in x or y
-    ys = [b for _, b in sorted(zip(x, y))]
-    s = n0 - ties_x - ties_y + _tied_pairs(zip(x, y)) - 2 * _merge_count(ys)[1]
+    s = n0 - ties_x - ties_y + _tied_pairs(pairs) - 2 * discordant
     tau = s / math.sqrt(n0 - ties_x) / math.sqrt(n0 - ties_y)
     return min(1.0, max(-1.0, tau))
 
@@ -269,19 +279,3 @@ def _tau_b(x: Sequence[int], y: Sequence[int]) -> float:
 def _tied_pairs(values: Iterable[object]) -> int:
     """The number of pairs among ``values`` that are equal."""
     return sum(k * (k - 1) // 2 for k in Counter(values).values())
-
-
-def _merge_count(v: list[int]) -> tuple[list[int], int]:
-    """``v`` sorted, and its pairs i < j with v[i] > v[j], by merge sort."""
-    if len(v) < 2:
-        return v, 0
-    left, count_left = _merge_count(v[: len(v) // 2])
-    right, count_right = _merge_count(v[len(v) // 2 :])
-    merged, count, i = [], count_left + count_right, 0
-    for y in right:
-        while i < len(left) and left[i] <= y:
-            merged.append(left[i])
-            i += 1
-        count += len(left) - i  # the left values not yet merged all exceed y
-        merged.append(y)
-    return merged + left[i:], count

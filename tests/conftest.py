@@ -160,6 +160,21 @@ def match_list_text(rnd: random.Random, max_teams: int = 6, max_matches: int = 3
     return "\n".join(rows) + "\n"
 
 
+# what a name may hold that a writer or reader could get wrong: a BOM, breaks
+# that end no line, quotes, a comma, a comment mark and a tab
+AWKWARD = "\ufeff\x0c\x1c\x85\u2028\"',#\t"
+
+
+def awkward_names(rnd: random.Random, n: int) -> list[str]:
+    """n distinct valid team names drawn from AWKWARD; each may start with a BOM, a quote, a comma or #."""
+    names = []
+    for i in range(n):
+        body = "".join(rnd.choice(AWKWARD) for _ in range(rnd.randint(0, 4)))
+        # neither end is whitespace, and the digits at the end are i alone
+        names.append(rnd.choice("\ufeff\",#T") + body + str(i))
+    return names
+
+
 # a field past the csv module's default field limit of 131,072 characters
 _LONG_PAD = 131_073
 

@@ -3,15 +3,17 @@
 import ast
 import contextlib
 import csv
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from conftest import DATA_DIR, ladder, random_matches, random_weights
+from conftest import DATA_DIR, awkward_names, ladder, random_matches, random_weights
 
 import hitsrank
 from hitsrank import Outcome, build_adjacency, emit_matrix, from_named_matrix, sort_teams
@@ -564,6 +566,27 @@ class TestMatrixCommand:
         }
 
 
+class TestMatrixRoundTrip:
+    def test_matrix_output_ranks_as_its_match_list(self, capsys, tmp_path):
+        rnd = random.Random(2503)
+        matches, matrix = tmp_path / "matches.csv", tmp_path / "matrix.csv"
+        for case in range(16):
+            names = awkward_names(rnd, rnd.randint(2, 8))
+            if case % 2 == 0:  # the matrix text starts with a BOM that is part of the first name
+                names[0] = "\ufeff" + names[0]
+            rows = [["home", "away", "outcome"], [names[0], names[1], rnd.choice("HAD")]]
+            rows += [[*rnd.sample(names, 2), rnd.choice("HAD")] for _ in range(rnd.randint(0, 30))]
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(rows)
+            matches.write_bytes(buffer.getvalue().encode())
+            code, text, _ = run(capsys, "matrix", "--input", str(matches))
+            assert code == EXIT_OK
+            matrix.write_bytes(text.encode())
+            for fmt in ("text", "json"):
+                direct = run(capsys, "rank", "--input", str(matches), "--input-kind", "matches", "--format", fmt)
+                assert run(capsys, "rank", "--input", str(matrix), "--input-kind", "matrix", "--format", fmt) == direct
+
+
 class TestCompareCommand:
     def test_identical_tables(self, capsys, tmp_path):
         _, table, _ = run(capsys, "points", "--input", MINI, "--format", "csv")
@@ -649,6 +672,45 @@ class TestCompareCommand:
         assert code == EXIT_PARSE
         assert out == ""
         assert f"{table}: row 1: team names must not hold a line break" in err
+
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("big.csv", f"rank,team,score\n1,A,2\n{10**309},B,1\n", "line 3, column 1"),
+            ("big.json", json.dumps({"rows": [{"rank": 1, "team": "A", "score": 2}, {"rank": 10**400, "team": "B", "score": 1}]}), "row 2"),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_rank_beyond_the_float_range_is_a_parse_error(self, capsys, tmp_path, name, text, where):
+        table = tmp_path / name
+        table.write_text(text)
+        code, out, err = run(capsys, "compare", str(table), str(table))
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: {table}: {where}: rank must be finite, got inf\n")
+
+    # rank and score fields at the edges of int, float and the digits Python converts
+    EDGES = ["1e308", "1e309", str(10**308), str(10**309), str(10**400), "nan", "inf", "-0", "9" * 4299, "9" * 4301]
+
+    @pytest.mark.parametrize("field", ["rank", "score"])
+    @pytest.mark.parametrize("edge", EDGES, ids=lambda edge: edge if len(edge) < 10 else f"{len(edge)}_digits")
+    def test_numeric_edges_exit_0_2_or_3(self, capsys, tmp_path, field, edge):
+        row = {"rank": "1", "score": "1"}
+        row[field] = edge
+        other = tmp_path / "other.csv"
+        other.write_text("rank,team,score\n1,A,1\n2,B,0\n")
+        json_edge = {"nan": "NaN", "inf": "Infinity"}.get(edge, edge)
+        tables = {
+            "edge.csv": f"rank,team,score\n{row['rank']},A,{row['score']}\n2,B,0\n",
+            "edge.json": '{"rows": [{"rank": %s, "team": "A", "score": %s}, {"rank": 2, "team": "B", "score": 0}]}'
+            % (json_edge if field == "rank" else 1, json_edge if field == "score" else 1),
+        }
+        for name, text in tables.items():
+            table = tmp_path / name
+            table.write_text(text)
+            for argv in ([str(table), str(other)], [str(other), str(table)]):
+                code, out, err = run(capsys, "compare", *argv)
+                assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE), (name, argv, err)
+                if code != EXIT_OK:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 PUBLIC_API = [

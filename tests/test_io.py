@@ -9,7 +9,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 import pytest
-from conftest import DATA_DIR, match_list_text, mini_matches, mutate, random_matches
+from conftest import DATA_DIR, awkward_names, match_list_text, mini_matches, mutate, random_matches
 
 from hitsrank import (
     AdjacencyMatrix,
@@ -754,6 +754,8 @@ class TestTableRules:
     BROKEN = [
         ([(0, "A", 1.0)], 0, "rank", "ranks are 1-based, got 0"),
         ([(1, "A", 2.0), (-3, "B", 1.0)], 1, "rank", "ranks are 1-based, got -3"),
+        ([(1, "A", 2.0), (10**309, "B", 1.0)], 1, "rank", "rank must be finite, got inf"),
+        ([(10**400, "A", 1.0)], 0, "rank", "rank must be finite, got inf"),
         ([(1, "A", 2.0), (2, "", 1.0)], 1, "team", "team names must be non-empty after trimming"),
         ([(1, "  ", 2.0)], 0, "team", "team names must be non-empty after trimming"),
         ([(1, "A", math.inf)], 0, "score", "score must be finite, got inf"),
@@ -789,6 +791,41 @@ class TestTableRules:
         with pytest.raises(ParseError) as exc:
             parse_table(json.dumps({"ordering": ordering, "rows": rows}))
         assert str(exc.value) == f"row {at + 1}: scores violate declared ordering"
+
+
+# matrix entries at the edges of what a float and the writer's two notations hold
+MATRIX_VALUES = [0.0, 1.0, 3.0, 0.1, 1 / 3, 5e-324, 1e-300, 1e15, 1e15 + 1, 2.0**53 + 2, 1e300, 1.7976931348623157e308]
+
+
+class TestSeededRoundTrips:
+    def test_matrix_reads_back_with_the_same_index_and_bits(self):
+        rnd = random.Random(2501)
+        for case in range(300):
+            n = rnd.randint(1, 6)
+            names = awkward_names(rnd, n)
+            if case % 3 == 0:  # the text starts with a BOM that is part of the first name
+                names[0] = "\ufeff" + names[0]
+            w = np.array([[0.0 if i == j else rnd.choice(MATRIX_VALUES) for j in range(n)] for i in range(n)])
+            m = AdjacencyMatrix(TeamIndex(tuple(names)), w)
+            back = parse_matrix(emit_matrix(m))
+            assert back.index.names == m.index.names
+            assert back.w.tobytes() == m.w.tobytes()
+
+    def test_tables_read_back_with_the_same_ranks_and_teams(self):
+        rnd = random.Random(2502)
+        for _ in range(300):
+            names = awkward_names(rnd, rnd.randint(0, 6))
+            ranks = sorted(rnd.choice([1, 2, 3, 10**15, 10**308, 2**1023]) for _ in names)
+            scores = sorted((rnd.choice([-1e300, 0.0, 5e-324, 1.5, 7.0, 1e308]) for _ in names), reverse=True)
+            t = RankTable(tuple(map(RankRow, ranks, names, scores)), Ordering.DESC_SCORE, None)
+            for fmt in (TableFormat.CSV, TableFormat.JSON):
+                back = parse_table(emit_table(t, fmt))
+                assert [row[:2] for row in back.rows] == [row[:2] for row in t.rows]
+
+    def test_text_that_starts_with_two_boms_keeps_the_second(self):
+        assert _lines("\ufeff\ufeffA,B\n") == ["\ufeffA,B"]
+        m = parse_matrix("\ufeff\ufeffA,B\n\ufeffA,0,1\nB,2,0\n")
+        assert m.index.names == ("\ufeffA", "B")
 
 
 def per_line_matrix(text: str) -> AdjacencyMatrix:
