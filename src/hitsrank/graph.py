@@ -10,12 +10,8 @@ One encoder, ``_encode``, turns matches into team indices and outcome
 codes, whether they come as MatchRecords or as rows of match-list text,
 and one accumulator, ``_adjacency``, sums them into plain row lists.
 Those rows are what ``hitsrank matrix`` prints, what ``hitsrank rank``
-solves and what an AdjacencyMatrix is made from (its constructor alone
-converts, checks and freezes a matrix). The entry rule, ``_bad_entry``,
-reads rows too, so numpy loads only where an AdjacencyMatrix is built:
-the encoder, the accumulator, the entry, name and number rules and the
-team index serve ``points``, ``matrix``, ``compare`` and ``rank`` on a
-league of up to 32 teams without it.
+solves and what an AdjacencyMatrix holds; its constructor alone converts
+and checks a matrix. Nothing here loads numpy but a first read of ``w``.
 """
 
 from __future__ import annotations
@@ -23,10 +19,19 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+def _float(value: object) -> float:
+    """``float(value)``, except that an int beyond the float range reads as inf (or -inf)."""
+    try:
+        return float(value)
+    except OverflowError:  # math.copysign would overflow too
+        return math.inf if value > 0 else -math.inf
 
 
 def _checked(
@@ -46,10 +51,8 @@ def _checked(
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
         kind = "an integer" if integer else "a real number"
         raise TypeError(f"{name} must be {kind}, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range; math.copysign would overflow too
-        number = value = math.inf if value > 0 else -math.inf
+    number = _float(value)
+    value = number if math.isinf(number) else value  # an int beyond the float range prints as inf
     low = minimum is not None and (number <= minimum if strict else number < minimum)
     bound = "" if minimum is None else f" and {'>' if strict else '>='} {minimum}"
     bound += "" if maximum is None else f" and <= {maximum}"
@@ -204,27 +207,44 @@ class AdjacencyMatrix(_Record, eq=False):
 
     Entry (i, j) holds the points team i has conceded toward team j.
     The diagonal is identically zero since a team never plays itself.
-    Every instance holds its own checked, read-only copy of the given array.
+    Each instance holds its own checked copy, one ``array('d')`` a team;
+    ``w``, a read-only float64 array of those rows, is built on first read.
     """
 
     def __init__(self, index: TeamIndex, w: np.typing.ArrayLike) -> None:
+        from array import array  # loaded here, as the command builds no matrix
+
+        n, sequence = len(index), (list, tuple)
+        if not (isinstance(w, sequence) and len(w) == n and all(isinstance(r, sequence) and len(r) == n for r in w)):
+            import numpy as np  # any other array-like, or rows of another shape, which numpy names
+
+            try:
+                w = np.array(w, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:  # an object array of huge ints overflows
+                raise ValueError(f"matrix values must be numeric: {exc}") from None
+            if w.shape != (n, n) and not (n == 0 and w.size == 0):  # an empty list of rows has ambiguous shape
+                raise ValueError(f"matrix shape {w.shape} does not match {n} teams")
+            w = [row.tobytes() for row in w.reshape(n, n)]  # which array("d", ...) reads as they are
+        try:
+            rows = [array("d", row) for row in w]
+        except (TypeError, ValueError, OverflowError):  # a numeric string, say, or an int beyond the float range
+            try:
+                rows = [array("d", map(_float, row)) for row in w]
+            except (TypeError, ValueError) as exc:  # None among them, as float refuses it
+                raise ValueError(f"matrix values must be numeric: {exc}") from None
+        if bad := _bad_entry(rows):
+            raise ValueError(bad[2])
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_rows", rows)
+
+    @cached_property
+    def w(self) -> np.typing.NDArray[np.float64]:
         import numpy as np
 
-        try:
-            w = np.array(w, dtype=np.float64)  # defensive copy
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"matrix values must be numeric: {exc}") from None
-        n = len(index)
-        if n == 0 and w.size == 0:
-            # an empty list of rows has ambiguous shape; normalize it
-            w = w.reshape((0, 0))
-        if w.shape != (n, n):
-            raise ValueError(f"matrix shape {w.shape} does not match {n} teams")
-        if bad := _bad_entry(w.tolist()):
-            raise ValueError(bad[2])
-        w.setflags(write=False)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "w", w)
+        return np.frombuffer(b"".join(self._rows)).reshape(self.n, self.n)  # read-only, as bytes are
+
+    def __getstate__(self) -> dict[str, object]:
+        return {"index": self.index, "_rows": self._rows}  # without w, which would load writable
 
     @property
     def n(self) -> int:
@@ -338,17 +358,11 @@ def _adjacency(columns: _Columns, win_weight: float, draw_weight: float) -> tupl
     return columns.index, rows
 
 
-def _name_order(index: TeamIndex) -> tuple[list[int], TeamIndex]:
-    """The team positions in name order, and the team index in that order."""
-    names = index.names
-    order = sorted(range(len(names)), key=names.__getitem__)
-    return order, TeamIndex(tuple(names[i] for i in order))
-
-
 def _alphabetical(index: TeamIndex, rows: Sequence[Sequence[float]]) -> tuple[TeamIndex, list[list[float]]]:
     """The team index and rows with teams, rows and columns alike, in name order."""
-    order, sorted_index = _name_order(index)
-    return sorted_index, [[row[j] for j in order] for row in map(rows.__getitem__, order)]
+    names = index.names
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return TeamIndex(tuple(names[i] for i in order)), [[row[j] for j in order] for row in map(rows.__getitem__, order)]
 
 
 def build_adjacency(
@@ -382,7 +396,7 @@ def build_adjacency(
 
 def transpose(m: AdjacencyMatrix) -> AdjacencyMatrix:
     """Reverse every edge, keeping the same team index."""
-    return AdjacencyMatrix(m.index, m.w.T)
+    return AdjacencyMatrix(m.index, list(zip(*m._rows)))
 
 
 def from_named_matrix(names: Sequence[str], values: np.typing.ArrayLike) -> AdjacencyMatrix:
@@ -403,7 +417,4 @@ def sort_teams(m: AdjacencyMatrix) -> AdjacencyMatrix:
 
     Useful for byte-stable output when the input match order varies.
     """
-    import numpy as np
-
-    order, index = _name_order(m.index)
-    return AdjacencyMatrix(index, m.w[np.ix_(order, order)])
+    return AdjacencyMatrix(*_alphabetical(m.index, m._rows))

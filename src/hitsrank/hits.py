@@ -13,12 +13,11 @@ dense eigensolve and one tie test (``_tied``), serves leagues of every
 size. The weights are lists of floats throughout, and every O(n) step
 (``_dot``, ``_norm``, ``_div``, ``_sub``) exists once: each sum is a
 ``math.fsum`` of products rounded one by one, correctly rounded. Only
-the matrix comes in two forms. Up to ``_LIST_TEAMS`` teams it is row
-lists (``_Rows``), whose products are ``_dot`` too, so the weights' bits
-depend on neither the BLAS kernel nor the Python version, and numpy
-loads only if the dense eigensolve runs. Above, it is a numpy array
-(``_Array``) whose products come from BLAS. numpy loads inside the
-functions that use it, so importing this module loads none.
+the matrix comes in two forms. Up to ``_LIST_TEAMS`` teams it is rows of
+floats (``_Rows``), whose products are ``_dot`` too, so the weights'
+bits depend on neither the BLAS kernel nor the Python version, and
+numpy loads only if the dense eigensolve runs; above, a numpy array
+(``_Array``) with BLAS products. Importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import enum
 import math
 import operator
 from itertools import chain
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from hitsrank.graph import AdjacencyMatrix, _checked, _Record
 
@@ -182,10 +181,10 @@ def _sub(x: list[float], y: list[float]) -> list[float]:
 
 
 class _Rows:
-    """A checked matrix as row lists, each product entry a ``_dot``, so no bit depends on the CPU or BLAS."""
+    """A checked matrix as rows of floats, each product entry a ``_dot``, so no bit depends on the CPU or BLAS."""
 
-    def __init__(self, w: Any) -> None:
-        self.w = w if isinstance(w, list) else w.tolist()
+    def __init__(self, rows: Sequence[Sequence[float]]) -> None:
+        self.w = rows
 
     def scaled(self, exponent: int) -> tuple[_Rows, _Rows]:
         """w * 2**exponent and its transpose."""
@@ -204,33 +203,29 @@ class _Rows:
 
 
 class _Array:
-    """The members of ``_Rows`` on a numpy array, products from BLAS."""
+    """The members of ``_Rows`` on a numpy array, read with np.fromiter (faster than np.array), products from BLAS."""
 
-    def __init__(self, w: Any) -> None:
+    def __init__(self, rows: Sequence[Sequence[float]]) -> None:
         import numpy as np
 
-        if isinstance(w, list):  # np.fromiter reads a league's row lists faster than np.array
-            w = np.fromiter(chain.from_iterable(w), np.float64, len(w) ** 2).reshape(len(w), -1)
-        self.w = w
+        self.w = np.fromiter(chain.from_iterable(rows), np.float64, len(rows) ** 2).reshape(len(rows), -1)
 
     def scaled(self, exponent: int) -> tuple[_Array, _Array]:
         import numpy as np
 
-        w = np.ldexp(self.w, exponent)
-        return _Array(w), _Array(w.T)
+        w, wt = object.__new__(_Array), object.__new__(_Array)  # not through __init__, which reads rows
+        w.w = np.ldexp(self.w, exponent)
+        wt.w = w.w.T
+        return w, wt
 
     def largest(self) -> float:
         return float(self.w.max())
 
     def product(self, x: list[float]) -> list[float]:
-        import numpy as np
-
-        return (self.w @ np.array(x)).tolist()
+        return (self.w @ x).tolist()
 
     def linked(self, columns: set[int], seen: set[int]) -> set[int]:
-        import numpy as np
-
-        return set(np.flatnonzero((self.w[:, list(columns)] > 0.0).any(axis=1)).tolist()) - seen
+        return set((self.w[:, list(columns)] > 0.0).any(axis=1).nonzero()[0].tolist()) - seen
 
 
 def _eigenvalues(norm_h: float, tt: float, exponent: int) -> tuple[float, float]:
@@ -290,10 +285,8 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
     largest count as tied; then ``stalled`` is set, and the weights are
     that projection of the authority iterate begun from a uniform hub.
     A run the sweeps settle alone is tested for a tie by ``_tied``.
-    Deterministic for a fixed input and configuration. The sweep keeps
-    the weights as lists at every size; up to ``_LIST_TEAMS`` teams it
-    runs on ``m.w.tolist()``, as ``hitsrank rank`` does, so both give the
-    same bits, and above, only the matrix products come from BLAS.
+    Deterministic for a fixed input and configuration, and bit for bit
+    what ``hitsrank rank`` gives, as both sweep the same rows.
 
     Raises:
         DegenerateGraphError: if the matrix has no nonzero entry, since
@@ -301,7 +294,7 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
     """
     if cfg is None:
         cfg = SolverConfig()
-    s = _solve(m.w, cfg)
+    s = _solve(m._rows, cfg)
     return HitsResult(
         authority=WeightVector(s.authority, VectorKind.AUTHORITY),
         hub=WeightVector(s.hub, VectorKind.HUB),
@@ -325,13 +318,8 @@ class _Solution(NamedTuple):
     stalled: bool
 
 
-def _solve(w: Any, cfg: SolverConfig) -> _Solution:
-    """``hits`` of a checked matrix, given as row lists or an array: the one sweep loop.
-
-    The weights are lists at every size. Up to ``_LIST_TEAMS`` teams the
-    matrix is row lists (``_Rows``) and numpy loads only if the dense
-    eigensolve runs; above, it is an array (``_Array``) with BLAS products.
-    """
+def _solve(w: Sequence[Sequence[float]], cfg: SolverConfig) -> _Solution:
+    """``hits`` of a checked matrix given as rows of floats: the one sweep loop, on ``_Rows`` or ``_Array``."""
     n = len(w)
     w = _Rows(w) if n <= _LIST_TEAMS else _Array(w)
     largest = w.largest()

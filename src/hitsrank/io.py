@@ -12,8 +12,7 @@ failure raises ParseError carrying a 1-based line (and column where it
 is known); parsers never raise anything else on malformed text. One
 matrix reader, ``_matrix_rows``, gives a team index and checked rows:
 ``hitsrank rank`` solves those rows, and ``parse_matrix`` wraps them in
-an AdjacencyMatrix. numpy loads only when that matrix is built, so
-reading every format and writing a matrix's text do without it.
+an AdjacencyMatrix. Nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import sys
 from io import StringIO
 from itertools import chain, islice
 from typing import Any, Iterable, Iterator, Sequence
@@ -34,6 +34,7 @@ from hitsrank.graph import (
     _checked,
     _Columns,
     _encode,
+    _float,
 )
 from hitsrank.rank import ComparisonReport, ComparisonRow, Ordering, RankRow, RankTable, TableKind, _bad_row
 
@@ -277,18 +278,15 @@ def emit_table(t: RankTable, format: TableFormat, decimals: int = 3) -> str:
 
 
 def _matrix_number(value: float) -> str:
-    if value.is_integer() and abs(value) <= 1e15:
+    if value.is_integer() and value <= 1e15 and math.copysign(1.0, value) > 0.0:  # -0.0 as its repr
         return str(int(value))
     return repr(value)
 
 
-def _matrix_csv(names: Sequence[str], rows: Iterable[list[float]]) -> str:
-    """The matrix CSV of float rows under their names, converting each distinct value of a row once.
+def _matrix_csv(names: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
+    """The matrix CSV of rows under their names, one row's text at a time, converting each distinct value once."""
 
-    The text of one row at a time is held besides the output.
-    """
-
-    def cells(name: str, row: list[float]) -> list[str]:
+    def cells(name: str, row: Sequence[float]) -> list[str]:
         text = {value: _matrix_number(value) for value in set(row)}
         return [name, *map(text.__getitem__, row)]
 
@@ -300,7 +298,11 @@ def emit_matrix(m: AdjacencyMatrix) -> str:
 
     ``parse_matrix`` of the result reproduces the matrix exactly.
     """
-    return _matrix_csv(m.index.names, (row.tolist() for row in m.w))
+    names, rows = m.index.names, m._rows
+    # the memo of _matrix_csv keys -0.0 as 0.0: find one by the byte of each entry that holds its sign bit
+    if b"".join(rows)[7 if sys.byteorder == "little" else 0 :: 8].isascii():
+        return _matrix_csv(names, rows)
+    return _csv_join(chain([names], ([name, *map(_matrix_number, row)] for name, row in zip(names, rows))))
 
 
 def emit_comparison(report: ComparisonReport, format: TableFormat, decimals: int = 3) -> str:
@@ -414,8 +416,7 @@ def _parse_table_json(text: str) -> RankTable:
             raise ParseError(f"row {i}: team must be a string, got {team!r}")
         if isinstance(score, bool) or not isinstance(score, (int, float)):
             raise ParseError(f"row {i}: score must be a number, got {score!r}")
-        # through str, so an integer too large for a float reads as inf, as in CSV
-        rows.append(RankRow(rank, team.strip(), float(str(score))))
+        rows.append(RankRow(rank, team.strip(), _float(score)))  # an int beyond the float range is inf, as in CSV
     return _table(rows, declared, kind, csv_rows=False)
 
 

@@ -792,6 +792,19 @@ class TestEntryPoints:
         proc = python("-c", "import hitsrank, sys; print('numpy' in sys.modules)", env=child_env())
         assert proc.stdout == "False\n"
 
+    def test_library_builds_writes_and_reorders_matrices_without_numpy(self):
+        # an AdjacencyMatrix holds rows of floats, and numpy loads only when its w is first read
+        code = (
+            "import sys; from hitsrank import *; "
+            f"built = build_adjacency(parse_matches(open({MINI!r}).read())); "
+            f"texts = [emit_matrix(m) for m in (parse_matrix(open({LEAGUE!r}).read()), sort_teams(built), "
+            "transpose(built), from_named_matrix(['B', 'A'], [[0, 1.5], ['3', 0]]))]; "
+            "print('numpy' in sys.modules, texts[-1] == 'B,A\\nB,0,1.5\\nA,3,0\\n', end=' '); "
+            "built.w; print('numpy' in sys.modules)"
+        )
+        proc = python("-c", code, env=child_env())
+        assert (proc.stdout, proc.stderr) == ("False True True\n", "")
+
     def test_package_lookup(self):
         # the public names load on first use; any other name is an AttributeError
         with pytest.raises(AttributeError, match="^module 'hitsrank' has no attribute 'nope'$"):

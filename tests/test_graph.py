@@ -1,6 +1,11 @@
 """Adjacency construction, transposition and named-matrix ingestion."""
 
+import copy
 import math
+import pickle
+import random
+
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -25,12 +30,14 @@ from hitsrank import (
     build_adjacency,
     emit_table,
     from_named_matrix,
+    hits,
     parse_matrix,
     points_table,
     sort_teams,
     transpose,
 )
 from hitsrank.graph import _encode
+from hitsrank.hits import DegenerateGraphError, _solve
 
 
 class TestMatchRecord:
@@ -141,11 +148,131 @@ class TestAdjacencyMatrix:
         w[0, 1] = 5.0
         assert m.w[0, 1] == 1.0
 
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_int_too_large_for_a_float_reads_as_inf(self, big):
+        # as the number rule reads it, so the finite rule refuses it
+        sign = "-" if big < 0 else ""
+        with pytest.raises(ValueError, match=f"^matrix entries must be finite, got {sign}inf$"):
+            AdjacencyMatrix(TeamIndex(("A", "B")), [[0, big], [0, 0]])
+        with pytest.raises(ValueError, match=f"^matrix entries must be finite, got {sign}inf$"):
+            from_named_matrix(["A", "B"], [(0, 0), ("0", big)])
+        with pytest.raises(ValueError, match="^matrix values must be numeric: "):  # numpy reads an object array
+            from_named_matrix(["A", "B"], np.array([[0, big], [0, 0]], dtype=object))
+
+    def test_w_is_one_read_only_array_that_copies_rebuild(self):
+        m = from_named_matrix(["A", "B"], [[0, 3], [-0.0, 0]])
+        assert m.w is m.w and not m.w.flags.writeable and m.w.dtype == np.float64
+        for other in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert other is not m and other != m and other.index == m.index
+            assert other.w.tobytes() == m.w.tobytes() and not other.w.flags.writeable
+
     def test_built_matrices_are_read_only(self):
         m = build_adjacency(mini_matches())
         for built in (m, sort_teams(m), parse_matrix("A,B\nA,0,1\nB,2,0\n")):
             with pytest.raises(ValueError):
                 built.w[0, 1] = 5.0
+
+
+# the entries the pool draws, -0.0 and both ends of the float range among them
+POOL_VALUES = [0.0, -0.0, 1.0, 3.0, 0.1, 1 / 3, 5e-324, 1e-300, 2.0**53 + 2, 1.797e308]
+# the values each float64 reading of an entry kind keeps exactly: whole numbers for
+# the integer kinds, float16 values for the float16 and float32 kinds
+SMALL_VALUES = [0.0, -0.0, 1.0, 3.0, 0.5, 0.25]
+WHOLE_VALUES = [0, 1, 3, 6, 2**53 + 2]
+# entry kinds: a function of (value, rnd) giving the entry a list row holds
+ENTRY_KINDS = {
+    "float": (POOL_VALUES, lambda v, rnd: v),
+    "int": (WHOLE_VALUES, lambda v, rnd: v),
+    "bool": ([0, 1], lambda v, rnd: bool(v)),
+    "numpy scalar": (SMALL_VALUES, lambda v, rnd: rnd.choice([np.float64, np.float32, np.float16])(v)),
+    "numpy integer": (WHOLE_VALUES, lambda v, rnd: rnd.choice([np.int64, np.uint64])(v)),
+    "numeric string": (
+        SMALL_VALUES + [10.0],
+        lambda v, rnd: "1_0" if v == 10.0 else rnd.choice([repr, lambda x: f" {x} ", lambda x: f"{x:e}"])(v),
+    ),
+}
+ARRAY_DTYPES = {np.float64: POOL_VALUES, np.float32: SMALL_VALUES, np.float16: SMALL_VALUES,
+                np.int64: WHOLE_VALUES, np.uint64: WHOLE_VALUES, np.bool_: [0, 1]}
+BREAKS = ["negative", "diagonal", "nan", "inf", "short", "narrow", "long", "ragged", "text", "none", "nested"]
+
+
+def pool_case(rnd: random.Random) -> tuple[int, object]:
+    """(n, w) of one pool case: n teams, 0 to 64, and a matrix of one input kind, 3 in 5 of the lists broken."""
+    n = rnd.randint(0, 64) if rnd.random() < 0.8 else rnd.randint(0, 3)
+    kind = rnd.choice([*ENTRY_KINDS, *ARRAY_DTYPES])
+    values, entry = ENTRY_KINDS.get(kind, (ARRAY_DTYPES.get(kind), lambda v, rnd: v))
+    density = rnd.random()
+    rows = [
+        [rnd.choice([0, -0.0]) if i == j else rnd.choice(values) if rnd.random() < density else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    if kind in ARRAY_DTYPES:
+        w = np.array(rows, dtype=kind).reshape(n, n)
+        return n, [list(row) for row in w] if rnd.random() < 0.1 else w  # rows of numpy scalars, or the array
+    rows = [[entry(v, rnd) for v in row] for row in rows]
+    if n and rnd.random() < 0.6:
+        i, j = rnd.randrange(n), rnd.randrange(n)
+        problem = rnd.choice(BREAKS)
+        if problem == "short":
+            rows.pop()
+        elif problem == "narrow":
+            rows = [row[:-1] for row in rows]
+        elif problem == "long":
+            rows.append([0.0] * n)
+        elif problem == "ragged":
+            rows[i].pop()
+        else:
+            bad = {"negative": -1.0, "diagonal": 1.0, "nan": math.nan, "inf": math.inf, "text": "x", "none": None}
+            rows[i][i if problem == "diagonal" else j] = bad.get(problem, [1.0])
+    if rnd.random() < 0.5:
+        return n, tuple(map(tuple, rows))
+    return n, rows if n or rnd.random() < 0.5 else [[]]
+
+
+def numpy_reading(w: object, n: int) -> np.ndarray | None:
+    """The constructor's matrix as ``np.array(w, dtype=np.float64)`` reads it, or None if the matrix rules refuse it."""
+    try:
+        a = np.array(w, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    if n == 0 and a.size == 0:
+        a = a.reshape(0, 0)
+    if a.shape != (n, n) or not np.isfinite(a).all() or (a < 0).any() or np.diagonal(a).any():
+        return None
+    return a
+
+
+def solved(solve: Callable[[], object]) -> object:
+    """The bits of a solve's weights (a HitsResult's or a _Solution's), or the class of the exception it raised."""
+    try:
+        s = solve()
+    except DegenerateGraphError as exc:
+        return type(exc)
+    weights = [[float(x).hex() for x in getattr(v, "values", v)] for v in (s.authority, s.hub)]
+    return weights, s.iterations, s.converged, s.stalled
+
+
+def test_constructor_reads_matrices_as_numpy_does():
+    # lists of numbers are read without numpy: each accepted matrix keeps
+    # np.array's bits and solves as the command solves its own rows, and
+    # each refused one is a ValueError
+    rnd = random.Random(2601)
+    cfg = SolverConfig(max_iterations=52)  # past the sweep that may hand over to the dense eigensolve
+    seen = {"accepted": 0, "refused": 0}
+    for case in range(1000):
+        n, w = pool_case(rnd)
+        index = TeamIndex(tuple(f"t{i}" for i in range(n)))
+        expected = numpy_reading(w, n)
+        if expected is None:
+            with pytest.raises(ValueError):
+                AdjacencyMatrix(index, w)
+            seen["refused"] += 1
+            continue
+        m = AdjacencyMatrix(index, w)
+        assert m.w.tobytes() == expected.tobytes(), case
+        assert solved(lambda: hits(m, cfg)) == solved(lambda: _solve(expected.tolist(), cfg)), case
+        seen["accepted"] += 1
+    assert min(seen.values()) > 250
 
 
 def record_loop_adjacency(

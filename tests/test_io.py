@@ -794,7 +794,7 @@ class TestTableRules:
 
 
 # matrix entries at the edges of what a float and the writer's two notations hold
-MATRIX_VALUES = [0.0, 1.0, 3.0, 0.1, 1 / 3, 5e-324, 1e-300, 1e15, 1e15 + 1, 2.0**53 + 2, 1e300, 1.7976931348623157e308]
+MATRIX_VALUES = [0.0, -0.0, 1.0, 3.0, 0.1, 1 / 3, 5e-324, 1e-300, 1e15, 1e15 + 1, 2.0**53 + 2, 1e300, 1.7976931348623157e308]
 
 
 class TestSeededRoundTrips:
