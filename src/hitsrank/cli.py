@@ -33,10 +33,10 @@ from hitsrank.io import (
     parse_table,
     table_object,
 )
-from hitsrank.rank import Ordering, TableKind, _points, _ranked, compare_rankings
+from hitsrank.rank import HubOrder, _points, compare_rankings, rank_authority, rank_hub
 
 if TYPE_CHECKING:
-    from hitsrank.hits import _Solution
+    from hitsrank.hits import HitsResult
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,8 +46,7 @@ EXIT_NO_CONVERGENCE = 5
 
 _T = TypeVar("_T")
 
-# a small hub weight marks a strong team, so best-first sorts the hub weights ascending
-_HUB_ORDERS = {"best-first": Ordering.ASC_SCORE, "raw-desc": Ordering.DESC_SCORE}
+_HUB_ORDERS = {"best-first": HubOrder.BEST_TEAM_FIRST, "raw-desc": HubOrder.RAW_DESC}
 
 
 class CliError(Exception):
@@ -285,7 +284,7 @@ def _match_rows(args: argparse.Namespace) -> tuple[TeamIndex, list[list[float]]]
     return _alphabetical(index, rows) if args.sort_teams else (index, rows)
 
 
-def _run_hits(rows: list[list[float]], args: argparse.Namespace) -> _Solution:
+def _run_hits(rows: list[list[float]], args: argparse.Namespace) -> HitsResult:
     # only rank loads the solver; it loads numpy only for a league of more
     # than hits._LIST_TEAMS teams, or for the dense eigensolve
     from hitsrank.hits import DegenerateInputError, SolverConfig, _solve
@@ -324,9 +323,9 @@ def _cmd_rank(args: argparse.Namespace) -> str:
     fmt = _format(args)
     tables = []
     if args.which in ("authority", "both"):
-        tables.append(("authority", _ranked(index.names, result.authority, Ordering.DESC_SCORE, TableKind.AUTHORITY)))
+        tables.append(("authority", rank_authority(result.authority, index)))
     if args.which in ("hub", "both"):
-        tables.append(("hub", _ranked(index.names, result.hub, _HUB_ORDERS[args.hub_order], TableKind.HUB)))
+        tables.append(("hub", rank_hub(result.hub, index, _HUB_ORDERS[args.hub_order])))
     if len(tables) == 1:
         return emit_table(tables[0][1], fmt, args.decimals)
     if fmt is TableFormat.JSON:

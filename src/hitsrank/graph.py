@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from array import array
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -32,6 +33,21 @@ def _float(value: object) -> float:
         return float(value)
     except OverflowError:  # math.copysign would overflow too
         return math.inf if value > 0 else -math.inf
+
+
+def _floats(values: Sequence[object], name: str) -> array:
+    """``values`` as 8-byte floats, read by ``_float``: the number reader of matrix rows and weight vectors.
+
+    Raises:
+        ValueError: ``<name> must be numeric: ...`` if ``float`` refuses an entry.
+    """
+    try:
+        return array("d", values)
+    except (TypeError, ValueError, OverflowError):  # a numeric string, say, or an int beyond the float range
+        try:
+            return array("d", map(_float, values))
+        except (TypeError, ValueError) as exc:  # None among them, as float refuses it
+            raise ValueError(f"{name} must be numeric: {exc}") from None
 
 
 def _checked(
@@ -141,6 +157,10 @@ class _Record:
     def __hash__(self) -> int:
         return hash(self._values())
 
+    def __getstate__(self) -> dict[str, object]:
+        # a cached property is rebuilt on first read, as a copied array would load writable
+        return {k: v for k, v in self.__dict__.items() if not isinstance(getattr(type(self), k, None), cached_property)}
+
 
 class Outcome(enum.Enum):
     """Result of a single match from the perspective of ``team_a``."""
@@ -212,8 +232,6 @@ class AdjacencyMatrix(_Record, eq=False):
     """
 
     def __init__(self, index: TeamIndex, w: np.typing.ArrayLike) -> None:
-        from array import array  # loaded here, as the command builds no matrix
-
         n, sequence = len(index), (list, tuple)
         if not (isinstance(w, sequence) and len(w) == n and all(isinstance(r, sequence) and len(r) == n for r in w)):
             import numpy as np  # any other array-like, or rows of another shape, which numpy names
@@ -225,13 +243,7 @@ class AdjacencyMatrix(_Record, eq=False):
             if w.shape != (n, n) and not (n == 0 and w.size == 0):  # an empty list of rows has ambiguous shape
                 raise ValueError(f"matrix shape {w.shape} does not match {n} teams")
             w = [row.tobytes() for row in w.reshape(n, n)]  # which array("d", ...) reads as they are
-        try:
-            rows = [array("d", row) for row in w]
-        except (TypeError, ValueError, OverflowError):  # a numeric string, say, or an int beyond the float range
-            try:
-                rows = [array("d", map(_float, row)) for row in w]
-            except (TypeError, ValueError) as exc:  # None among them, as float refuses it
-                raise ValueError(f"matrix values must be numeric: {exc}") from None
+        rows = [_floats(row, "matrix values") for row in w]
         if bad := _bad_entry(rows):
             raise ValueError(bad[2])
         object.__setattr__(self, "index", index)
@@ -242,9 +254,6 @@ class AdjacencyMatrix(_Record, eq=False):
         import numpy as np
 
         return np.frombuffer(b"".join(self._rows)).reshape(self.n, self.n)  # read-only, as bytes are
-
-    def __getstate__(self) -> dict[str, object]:
-        return {"index": self.index, "_rows": self._rows}  # without w, which would load writable
 
     @property
     def n(self) -> int:

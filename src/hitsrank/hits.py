@@ -10,14 +10,15 @@ stays nonnegative.
 
 One loop (``_solve``), with one convergence test, one handover to the
 dense eigensolve and one tie test (``_tied``), serves leagues of every
-size. The weights are lists of floats throughout, and every O(n) step
-(``_dot``, ``_norm``, ``_div``, ``_sub``) exists once: each sum is a
-``math.fsum`` of products rounded one by one, correctly rounded. Only
-the matrix comes in two forms. Up to ``_LIST_TEAMS`` teams it is rows of
-floats (``_Rows``), whose products are ``_dot`` too, so the weights'
-bits depend on neither the BLAS kernel nor the Python version, and
-numpy loads only if the dense eigensolve runs; above, a numpy array
-(``_Array``) with BLAS products. Importing this module loads no numpy.
+size and returns a ``HitsResult``. The weights are lists of floats until
+then, and every O(n) step (``_dot``, ``_norm``, ``_div``, ``_sub``)
+exists once: each sum is a ``math.fsum`` of products rounded one by one,
+correctly rounded. Only the matrix comes in two forms. Up to
+``_LIST_TEAMS`` teams it is rows of floats (``_Rows``), whose products
+are ``_dot`` too, so the weights' bits depend on neither the BLAS kernel
+nor the Python version, and numpy loads only if the dense eigensolve
+runs; above, a numpy array (``_Array``) with BLAS products. Importing
+this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
-from hitsrank.graph import AdjacencyMatrix, _checked, _Record
+from hitsrank.graph import AdjacencyMatrix, _checked, _floats, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,40 +79,53 @@ class SolverConfig(_Record):
 
 
 class WeightVector(_Record, eq=False):
-    """L2-normalized nonnegative per-team weights.
+    """L2-normalized nonnegative per-team weights, held as 8-byte floats.
 
     Any vector with a positive entry satisfies sum(values**2) == 1; the
     constructor checks that loosely (the solver normalizes every sweep,
-    so its outputs are unit-norm to machine precision). The underlying
-    array is read-only.
+    so its outputs are unit-norm to machine precision). A list or tuple
+    is read as an ``AdjacencyMatrix`` row is, without numpy; any other
+    input as ``np.array(values, dtype=np.float64)`` reads it. ``values``,
+    a read-only float64 array of the weights, is built on first read.
     """
 
     def __init__(self, values: np.typing.ArrayLike, kind: VectorKind) -> None:
-        import numpy as np
-
         if not isinstance(kind, VectorKind):
             raise TypeError(f"kind must be a VectorKind, got {type(kind).__name__}")
-        v = np.array(values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError(f"values must be a 1-D vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not isinstance(values, (list, tuple)):
+            import numpy as np
+
+            v = np.array(values, dtype=np.float64)
+            if v.ndim != 1:
+                raise ValueError(f"values must be a 1-D vector, got shape {v.shape}")
+            values = v.tobytes()
+        weights = _floats(values, "weights")
+        if not all(map(math.isfinite, weights)):
             raise ValueError("weights must be finite")
-        if v.size and float(np.min(v)) < 0.0:
+        if weights and min(weights) < 0.0:
             raise ValueError("weights must be nonnegative")
-        if v.size and np.any(v > 0.0):
-            norm = float(np.linalg.norm(v))
+        if weights and max(weights) > 0.0:
+            try:
+                norm = _norm(weights)
+            except OverflowError:  # fsum's sum of squares passed the float range
+                norm = math.inf
             if abs(norm - 1.0) > 1e-6:
                 raise ValueError(f"weights must be L2-normalized, got norm {norm}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "kind", kind)
 
+    @cached_property
+    def values(self) -> np.typing.NDArray[np.float64]:
+        import numpy as np
+
+        return np.frombuffer(self._weights.tobytes())  # read-only, as bytes are
+
     def __len__(self) -> int:
-        return int(self.values.shape[0])
+        return len(self._weights)
 
 
 class HitsResult(_Record, eq=False):
-    """Weights plus solver diagnostics.
+    """Weights plus solver diagnostics: the one result of the solver, for ``hits`` and ``hitsrank rank`` alike.
 
     ``authority_eigenvalue`` and ``hub_eigenvalue`` are the Rayleigh
     quotients of the returned vectors on their Gram matrices; both
@@ -203,12 +217,12 @@ class _Rows:
 
 
 class _Array:
-    """The members of ``_Rows`` on a numpy array, read with np.fromiter (faster than np.array), products from BLAS."""
+    """The members of ``_Rows`` on a numpy array, products from BLAS."""
 
     def __init__(self, rows: Sequence[Sequence[float]]) -> None:
         import numpy as np
 
-        self.w = np.fromiter(chain.from_iterable(rows), np.float64, len(rows) ** 2).reshape(len(rows), -1)
+        self.w = np.array(rows, dtype=np.float64)
 
     def scaled(self, exponent: int) -> tuple[_Array, _Array]:
         import numpy as np
@@ -286,39 +300,17 @@ def hits(m: AdjacencyMatrix, cfg: SolverConfig | None = None) -> HitsResult:
     that projection of the authority iterate begun from a uniform hub.
     A run the sweeps settle alone is tested for a tie by ``_tied``.
     Deterministic for a fixed input and configuration, and bit for bit
-    what ``hitsrank rank`` gives, as both sweep the same rows.
+    what ``hitsrank rank`` gives, as both sweep the same rows. numpy
+    loads only for a league of more than 32 teams or the dense eigensolve.
 
     Raises:
         DegenerateGraphError: if the matrix has no nonzero entry, since
             no normalized fixed point exists for an edgeless graph.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    s = _solve(m._rows, cfg)
-    return HitsResult(
-        authority=WeightVector(s.authority, VectorKind.AUTHORITY),
-        hub=WeightVector(s.hub, VectorKind.HUB),
-        authority_eigenvalue=s.authority_eigenvalue,
-        hub_eigenvalue=s.hub_eigenvalue,
-        iterations=s.iterations,
-        converged=s.converged,
-        stalled=s.stalled,
-    )
+    return _solve(m._rows, cfg or SolverConfig())
 
 
-class _Solution(NamedTuple):
-    """The fields of a HitsResult, the weights as lists."""
-
-    authority: list[float]
-    hub: list[float]
-    authority_eigenvalue: float
-    hub_eigenvalue: float
-    iterations: int
-    converged: bool
-    stalled: bool
-
-
-def _solve(w: Sequence[Sequence[float]], cfg: SolverConfig) -> _Solution:
+def _solve(w: Sequence[Sequence[float]], cfg: SolverConfig) -> HitsResult:
     """``hits`` of a checked matrix given as rows of floats: the one sweep loop, on ``_Rows`` or ``_Array``."""
     n = len(w)
     w = _Rows(w) if n <= _LIST_TEAMS else _Array(w)
@@ -363,7 +355,8 @@ def _solve(w: Sequence[Sequence[float]], cfg: SolverConfig) -> _Solution:
     if converged and not dense:
         stalled = _tied(w, wt, a, norm_h * norm_h)
     authority_eigenvalue, hub_eigenvalue = _eigenvalues(norm_h, _dot(ta, ta), exponent)
-    return _Solution(a, h, authority_eigenvalue, hub_eigenvalue, iterations, converged, stalled)
+    authority, hub = WeightVector(a, VectorKind.AUTHORITY), WeightVector(h, VectorKind.HUB)
+    return HitsResult(authority, hub, authority_eigenvalue, hub_eigenvalue, iterations, converged, stalled)
 
 
 def _tied(w: _Rows | _Array, wt: _Rows | _Array, a: list[float], lam: float) -> bool:

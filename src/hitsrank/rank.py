@@ -7,11 +7,8 @@ ascending. The conventional points table (3 for a win, 1 for a draw) is
 provided for cross-checking: its scores equal the column sums of the
 default adjacency matrix built from the same matches.
 
-Nothing here loads numpy: ``points`` and ``compare`` run without it,
-and the weight vectors that ``rank_authority`` and ``rank_hub`` read
-come from ``hits``, which those two load when they are called.
-``hitsrank rank`` builds its tables with ``_ranked`` straight from the
-solver's weights, plain lists for a league of any size.
+Nothing here loads numpy: ``rank_authority`` and ``rank_hub`` read the
+floats a weight vector holds, and ``hitsrank rank`` ranks through them too.
 """
 
 from __future__ import annotations
@@ -144,7 +141,7 @@ def rank_authority(w: WeightVector, idx: TeamIndex) -> RankTable:
     from hitsrank.hits import VectorKind
 
     _check_weight(w, idx, VectorKind.AUTHORITY)
-    return _ranked(idx.names, w.values.tolist(), Ordering.DESC_SCORE, TableKind.AUTHORITY)
+    return _ranked(idx.names, w._weights, Ordering.DESC_SCORE, TableKind.AUTHORITY)
 
 
 def rank_hub(
@@ -162,7 +159,7 @@ def rank_hub(
         raise TypeError(f"order must be a HubOrder, got {type(order).__name__}")
     _check_weight(w, idx, VectorKind.HUB)
     ordering = Ordering.ASC_SCORE if order is HubOrder.BEST_TEAM_FIRST else Ordering.DESC_SCORE
-    return _ranked(idx.names, w.values.tolist(), ordering, TableKind.HUB)
+    return _ranked(idx.names, w._weights, ordering, TableKind.HUB)
 
 
 def points_table(

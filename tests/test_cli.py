@@ -792,18 +792,25 @@ class TestEntryPoints:
         proc = python("-c", "import hitsrank, sys; print('numpy' in sys.modules)", env=child_env())
         assert proc.stdout == "False\n"
 
-    def test_library_builds_writes_and_reorders_matrices_without_numpy(self):
-        # an AdjacencyMatrix holds rows of floats, and numpy loads only when its w is first read
+    @pytest.mark.parametrize("read", ["built.w", "solved[0][1].hub.values"], ids=["w", "values"])
+    def test_library_builds_writes_and_reorders_matrices_without_numpy(self, read):
+        # an AdjacencyMatrix holds rows of floats and a WeightVector holds floats, so the library
+        # builds, ranks and writes a league of up to 32 teams without numpy, which loads when
+        # w or values is first read
         code = (
             "import sys; from hitsrank import *; "
             f"built = build_adjacency(parse_matches(open({MINI!r}).read())); "
-            f"texts = [emit_matrix(m) for m in (parse_matrix(open({LEAGUE!r}).read()), sort_teams(built), "
+            f"league = parse_matrix(open({LEAGUE!r}).read()); "
+            "texts = [emit_matrix(m) for m in (league, sort_teams(built), "
             "transpose(built), from_named_matrix(['B', 'A'], [[0, 1.5], ['3', 0]]))]; "
-            "print('numpy' in sys.modules, texts[-1] == 'B,A\\nB,0,1.5\\nA,3,0\\n', end=' '); "
-            "built.w; print('numpy' in sys.modules)"
+            "solved = [(m, hits(m)) for m in (league, built)]; "
+            "tables = [emit_table(t, f) for m, r in solved for t in (rank_authority(r.authority, m.index), "
+            "rank_hub(r.hub, m.index)) for f in TableFormat]; "
+            "print('numpy' in sys.modules, texts[-1] == 'B,A\\nB,0,1.5\\nA,3,0\\n', len(tables), end=' '); "
+            f"{read}; print('numpy' in sys.modules)"
         )
         proc = python("-c", code, env=child_env())
-        assert (proc.stdout, proc.stderr) == ("False True True\n", "")
+        assert (proc.stdout, proc.stderr) == ("False True 12 True\n", "")
 
     def test_package_lookup(self):
         # the public names load on first use; any other name is an AttributeError

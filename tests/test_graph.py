@@ -159,12 +159,23 @@ class TestAdjacencyMatrix:
         with pytest.raises(ValueError, match="^matrix values must be numeric: "):  # numpy reads an object array
             from_named_matrix(["A", "B"], np.array([[0, big], [0, 0]], dtype=object))
 
-    def test_w_is_one_read_only_array_that_copies_rebuild(self):
-        m = from_named_matrix(["A", "B"], [[0, 3], [-0.0, 0]])
-        assert m.w is m.w and not m.w.flags.writeable and m.w.dtype == np.float64
-        for other in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
-            assert other is not m and other != m and other.index == m.index
-            assert other.w.tobytes() == m.w.tobytes() and not other.w.flags.writeable
+    @pytest.mark.parametrize(
+        "build, arrays",
+        [
+            (lambda: from_named_matrix(["A", "B"], [[0, 3], [-0.0, 0]]), lambda m: [m.w]),
+            (lambda: WeightVector([0.6, 0.8], VectorKind.HUB), lambda v: [v.values]),
+            (lambda: hits(from_named_matrix(["A", "B"], [[0, 3], [1, 0]])), lambda r: [r.authority.values, r.hub.values]),
+        ],
+        ids=["AdjacencyMatrix", "WeightVector", "HitsResult"],
+    )
+    def test_w_is_one_read_only_array_that_copies_rebuild(self, build, arrays):
+        value = build()
+        for a, again in zip(arrays(value), arrays(value)):
+            assert a is again and not a.flags.writeable and a.dtype == np.float64
+        for other in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert other is not value and other != value and repr(other) == repr(value)
+            for a, b in zip(arrays(other), arrays(value)):
+                assert a.tobytes() == b.tobytes() and not a.flags.writeable
 
     def test_built_matrices_are_read_only(self):
         m = build_adjacency(mini_matches())
@@ -243,12 +254,12 @@ def numpy_reading(w: object, n: int) -> np.ndarray | None:
 
 
 def solved(solve: Callable[[], object]) -> object:
-    """The bits of a solve's weights (a HitsResult's or a _Solution's), or the class of the exception it raised."""
+    """The bits of a solve's weights, or the class of the exception it raised."""
     try:
         s = solve()
     except DegenerateGraphError as exc:
         return type(exc)
-    weights = [[float(x).hex() for x in getattr(v, "values", v)] for v in (s.authority, s.hub)]
+    weights = [[x.hex() for x in v.values.tolist()] for v in (s.authority, s.hub)]
     return weights, s.iterations, s.converged, s.stalled
 
 

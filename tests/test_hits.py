@@ -1,6 +1,7 @@
 """The alternating hub/authority solver and its contracts."""
 
 import math
+import random
 import sys
 
 import numpy as np
@@ -173,7 +174,91 @@ class TestSolverConfig:
             SolverConfig(max_iterations=2.5)
 
 
+# k equal entries of 1 / sqrt(k) make a unit vector whose bits every entry kind keeps
+UNIT_ENTRIES = {1: 1.0, 4: 0.5, 16: 0.25, 64: 0.125}
+# entry kinds: a function of (value, rnd) giving the entry a list holds
+VECTOR_ENTRIES = {
+    "float": lambda v, rnd: v,
+    "int": lambda v, rnd: int(v),
+    "bool": lambda v, rnd: bool(v),
+    "numpy scalar": lambda v, rnd: rnd.choice([np.float64, np.float32, np.float16])(v),
+    "numpy integer": lambda v, rnd: rnd.choice([np.int64, np.uint64])(int(v)),
+    "numeric string": lambda v, rnd: rnd.choice([repr, lambda x: f" {x} ", lambda x: f"{x:e}"])(v),
+}
+WHOLE_KINDS = {"int", "bool", "numpy integer", np.int64, np.uint64, np.bool_}
+VECTOR_DTYPES = [np.float64, np.float32, np.float16, np.int64, np.uint64, np.bool_]
+VECTOR_BREAKS = ["negative", "nan", "inf", "unnormalized", "2-D", "scalar", "ragged", "none", "text"]
+
+
+def vector_case(rnd: random.Random) -> object:
+    """One pool input: 0 to 64 weights of one input kind, unit-norm or zero, 3 in 5 of the lists broken."""
+    n = rnd.randint(0, 64)
+    kind = rnd.choice([*VECTOR_ENTRIES, *VECTOR_DTYPES])
+    whole = kind in WHOLE_KINDS
+    values = [rnd.choice([0.0] if whole else [0.0, -0.0, 5e-324]) for _ in range(n)]
+    sizes = [k for k in UNIT_ENTRIES if k <= n and (k == 1 or not whole)]
+    if sizes and rnd.random() < 0.9:
+        k = rnd.choice(sizes)
+        for i in rnd.sample(range(n), k):
+            values[i] = UNIT_ENTRIES[k]
+        if kind in ("float", np.float64) and rnd.random() < 0.5:  # any unit vector, not only one of equal entries
+            values = [v * rnd.uniform(0.5, 2.0) if v >= 1e-300 else v for v in values]
+            norm = math.sqrt(math.fsum(v * v for v in values))
+            values = [v / norm if v >= 1e-300 else v for v in values]
+    if kind in VECTOR_DTYPES:
+        w = np.array(values, dtype=kind)
+        if rnd.random() < 0.2:
+            w = w.reshape(1, n) if rnd.random() < 0.5 else np.array(values[0] if n else 0.5)  # 2-D, or a scalar
+        return w
+    values = [VECTOR_ENTRIES[kind](v, rnd) for v in values]
+    if rnd.random() < 0.6:
+        problem = rnd.choice(VECTOR_BREAKS)
+        i = rnd.randrange(n) if n else 0
+        if problem == "unnormalized":
+            values.append(2.0)
+        elif problem == "2-D":
+            values = [values]
+        elif problem == "scalar":
+            return values[0] if n else 0.5
+        elif problem == "ragged":
+            values = [values, values[:-1] or [0.0]]
+        elif n:
+            values[i] = {"negative": -1.0, "nan": math.nan, "inf": math.inf, "none": None, "text": "x"}[problem]
+    return tuple(values) if rnd.random() < 0.5 else values
+
+
+def numpy_vector_reading(values: object) -> np.ndarray | None:
+    """The weights as ``np.array(values, dtype=np.float64)`` reads them, or None if the weight rules refuse them."""
+    try:
+        v = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    if v.ndim != 1 or not np.isfinite(v).all() or (v < 0).any():
+        return None
+    if (v > 0).any() and abs(np.linalg.norm(v) - 1.0) > 1e-6:
+        return None
+    return v
+
+
 class TestWeightVector:
+    def test_reads_vectors_as_numpy_does(self):
+        # lists and tuples of numbers are read without numpy: each accepted
+        # vector keeps np.array's bits, and each refused one is a ValueError
+        rnd = random.Random(2701)
+        seen = {"accepted": 0, "refused": 0}
+        for case in range(1000):
+            values = vector_case(rnd)
+            expected = numpy_vector_reading(values)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    WeightVector(values, VectorKind.HUB)
+                seen["refused"] += 1
+                continue
+            v = WeightVector(values, VectorKind.HUB)
+            assert v.values.tobytes() == expected.tobytes() and len(v) == len(expected), case
+            seen["accepted"] += 1
+        assert min(seen.values()) > 250, seen
+
     def test_valid(self):
         v = WeightVector(np.array([0.6, 0.8]), VectorKind.AUTHORITY)
         assert len(v) == 2
@@ -191,6 +276,8 @@ class TestWeightVector:
             (np.float64(1.0), r"values must be a 1-D vector, got shape \(\)"),
             (np.array([0.6, math.nan]), "weights must be finite"),
             (np.array([0.0, math.inf]), "weights must be finite"),
+            ([10**400], "weights must be finite"),  # an int beyond the float range reads as inf
+            ((0, -(10**400)), "weights must be finite"),
         ],
     )
     def test_rejects_wrong_shape_or_non_finite(self, values, message):
@@ -200,6 +287,8 @@ class TestWeightVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             WeightVector(np.array([1.0, 1.0]), VectorKind.HUB)
+        with pytest.raises(ValueError, match="^weights must be L2-normalized, got norm inf$"):  # squares past the float range
+            WeightVector([1.3e154, 1.3e154], VectorKind.HUB)
 
     def test_rejects_bad_kind(self):
         with pytest.raises(TypeError):
@@ -548,12 +637,12 @@ class TestSweepForms:
         arrays = solver._solve(w, SolverConfig())
         assert products  # the array form ran
         for s in (lists, arrays):
-            assert isinstance(s.authority, list) and isinstance(s.hub, list)
+            assert isinstance(s, HitsResult)
         assert (lists.converged, lists.stalled) == (arrays.converged, arrays.stalled) == (True, False)
         assert abs(lists.iterations - arrays.iterations) <= 1
         tol = SolverConfig().tolerance
-        assert np.allclose(lists.authority, arrays.authority, rtol=0.0, atol=2 * tol)
-        assert np.allclose(lists.hub, arrays.hub, rtol=0.0, atol=2 * tol)
+        assert np.allclose(lists.authority.values, arrays.authority.values, rtol=0.0, atol=2 * tol)
+        assert np.allclose(lists.hub.values, arrays.hub.values, rtol=0.0, atol=2 * tol)
         assert lists.authority_eigenvalue == pytest.approx(arrays.authority_eigenvalue, rel=1e-12)
 
     def test_small_leagues_keep_their_bits_when_teams_are_reordered(self):
@@ -573,9 +662,9 @@ class TestSweepForms:
                 continue
             perm = rng.permutation(n)
             shuffled = solver._solve(w[np.ix_(perm, perm)].tolist(), SolverConfig())
-            assert shuffled.authority == [base.authority[i] for i in perm]
-            assert shuffled.hub == [base.hub[i] for i in perm]
-            assert shuffled[2:] == base[2:]  # eigenvalues, iterations and flags
+            assert np.array_equal(shuffled.authority.values, base.authority.values[perm])
+            assert np.array_equal(shuffled.hub.values, base.hub.values[perm])
+            assert shuffled._values()[2:] == base._values()[2:]  # eigenvalues, iterations and flags
             checked += 1
 
     @pytest.mark.parametrize("k", [1, 5, 16])
@@ -589,5 +678,5 @@ class TestSweepForms:
         w = np.block([[inner, outer], [outer, inner]])
         s = solver._solve(w.tolist(), SolverConfig())
         assert s.converged and s.iterations < 50
-        assert s.authority[:k] == s.authority[k:]
-        assert s.hub[:k] == s.hub[k:]
+        assert np.array_equal(s.authority.values[:k], s.authority.values[k:])
+        assert np.array_equal(s.hub.values[:k], s.hub.values[k:])
